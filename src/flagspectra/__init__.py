@@ -25,10 +25,9 @@ from .complexes import (
     coboundary_matrix,
     independence_complex,
     link,
-    restrict_cochain,
     simplex_degree,
 )
-from .linalg import integer_rank, matrix_rank, numerical_rank, symmetric_eigenvalues
+from .linalg import integer_rank, symmetric_eigenvalues
 from .spectral import (
     BettiProfile,
     CochainIdentityChecker,

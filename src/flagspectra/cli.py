@@ -58,11 +58,11 @@ from .hypergraphs import (
     verify_integral_width_condition,
     width,
 )
+from .linalg import symmetric_eigenvalues
 from .reports import CheckRecord, records_to_csv, records_to_json_lines
 from .spectral import (
     betti_profile,
     hodge_laplacian,
-    symmetric_eigenvalues,
     verify_eigenvalue_recursion,
     verify_facet_degree_bound,
     verify_vanishing_threshold,
@@ -93,20 +93,11 @@ class RunConfig:
         )
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int | None) -> int | None:
+    """Integer from the environment; unset or empty means `default`."""
     raw = os.environ.get(name)
-    if raw is None:
+    if not raw:
         return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputFormatError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _env_int_opt(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw in (None, ""):
-        return None
     try:
         return int(raw)
     except ValueError:
@@ -126,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-dim",
             type=int,
-            default=_env_int_opt("FLAGSPECTRA_MAX_DIM"),
+            default=_env_int("FLAGSPECTRA_MAX_DIM", None),
             help="dimension cap for complexes",
         )
         p.add_argument(
@@ -607,12 +598,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        # inside the try: building the parser reads the caps from the environment
+        args = build_parser().parse_args(argv)
         if args.command == "dump-complex":
             _emit(cmd_dump_complex(args), args.output)
             return 0
@@ -624,6 +612,8 @@ def main(argv=None) -> int:
             "corpus": cmd_corpus,
         }[args.command]
         records = handler(args)
+    except SystemExit as exc:  # argparse: --help or a usage error
+        return int(exc.code) if exc.code else 0
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 3

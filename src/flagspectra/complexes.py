@@ -230,33 +230,6 @@ def random_cochain(x: FlagComplex, k: int, rng) -> Cochain:
     return Cochain(k, values)
 
 
-def restrict_cochain(x: FlagComplex, phi: Cochain, u: int) -> Cochain:
-    """Restriction of a degree-k cochain to a vertex u, one degree down.
-
-    The restricted cochain sends tau to the value of phi on u prepended to
-    tau whenever the union is a stored simplex, and to 0 otherwise.  The sign
-    of moving u into sorted position is (-1)^(number of tau-vertices below u).
-    """
-    k = phi.degree
-    if k < 1 or k > x.max_dim:
-        raise ValueError("restriction needs degree between 1 and max_dim")
-    if len(phi.values) != len(x.skeleta[k]):
-        raise ValueError("cochain length does not match skeleton")
-    upper = x.index[k]
-    out = np.zeros(len(x.skeleta[k - 1]))
-    for pos, tau in enumerate(x.skeleta[k - 1]):
-        if u in tau:
-            continue
-        merged = tuple(sorted(tau + (u,)))
-        idx = upper.get(merged)
-        if idx is None:
-            continue
-        below = sum(1 for t in tau if t < u)
-        sign = -1 if below & 1 else 1
-        out[pos] = sign * phi.values[idx]
-    return Cochain(k - 1, out)
-
-
 def restriction_matrices(x: FlagComplex, k: int) -> list[np.ndarray]:
     """For each vertex u, the matrix taking a degree-k cochain to its u-restriction."""
     if k < 1 or k > x.max_dim:

@@ -1,24 +1,16 @@
-"""Dense symmetric eigensolver and rank computation.
+"""Dense symmetric eigenvalues and exact integer rank.
 
-The eigensolver is a cyclic Jacobi iteration: within each sweep every
-off-diagonal position is annihilated once, and sweeps repeat until the
-off-diagonal Frobenius norm drops below 1e-11 times the (rotation-invariant)
-Frobenius norm of the matrix.  Matrices here are small (skeleton sizes are
-capped), so the simplicity and robustness of Jacobi beat anything fancier.
+Eigenvalues come from LAPACK (`numpy.linalg.eigvalsh`).  Its limited
+relative accuracy on tiny eigenvalues does not matter here: every Betti
+number read from a Laplacian kernel is checked against exact rank-nullity.
 
-Ranks come in two flavors: fraction-free (Bareiss) elimination over Python
-ints for exact integer matrices such as coboundary operators, and an SVD
-threshold rank for real matrices.
+Ranks use fraction-free (Bareiss) elimination over Python ints, so they are
+exact for any integer matrix, in particular for coboundary operators.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-_SWEEP_LIMIT = 100
-_OFFDIAG_TOL = 1e-11
 
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:
@@ -26,7 +18,8 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
 
     The input must be exactly symmetric entrywise (operators in this package
     are assembled symmetrically in integer arithmetic, so no tolerance is
-    needed or granted).
+    needed or granted).  The check matters because LAPACK reads only one
+    triangle and would silently treat a non-symmetric input as symmetric.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -35,58 +28,7 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
         raise ValueError("matrix must have dimension >= 1")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    work = np.array(a, dtype=np.float64, copy=True)
-    values = _jacobi_eigenvalues(work)
-    values.sort()
-    return values
-
-
-def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    frob = math.sqrt(float((a * a).sum()))
-    if frob == 0.0:
-        return np.zeros(n)
-    threshold2 = (_OFFDIAG_TOL * frob) ** 2
-    for _ in range(_SWEEP_LIMIT):
-        # sum only the off-diagonal squares; subtracting the diagonal part
-        # from the total cancels catastrophically near convergence
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        off2 = float((off * off).sum())
-        if off2 <= threshold2:
-            return a.diagonal().copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) <= 1e-200 * abs(diff):
-                    # rotation angle below resolution; annihilating directly
-                    # perturbs the spectrum by at most |apq|
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                theta = diff / (2.0 * apq)
-                # hypot keeps the tangent finite when theta^2 would overflow
-                t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise RuntimeError(f"eigensolver failed to converge within {_SWEEP_LIMIT} sweeps")
+    return np.linalg.eigvalsh(a.astype(np.float64))
 
 
 def integer_rank(matrix) -> int:
@@ -124,24 +66,3 @@ def integer_rank(matrix) -> int:
         if r == n_rows:
             break
     return rank
-
-
-def numerical_rank(matrix) -> int:
-    """Singular values above 1e-8 * max(rows, cols) * max|entry|."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.size == 0:
-        return 0
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return 0
-    tau = 1e-8 * max(a.shape) * scale
-    singulars = np.linalg.svd(a, compute_uv=False)
-    return int((singulars > tau).sum())
-
-
-def matrix_rank(matrix) -> int:
-    """Rank of a dense matrix: exact for integer dtype, SVD-thresholded otherwise."""
-    a = np.asarray(matrix)
-    if np.issubdtype(a.dtype, np.integer):
-        return integer_rank(a)
-    return numerical_rank(a)

@@ -25,7 +25,7 @@ from .complexes import (
     DEFAULT_SIMPLEX_CAP,
 )
 from .graphs import Graph, spectral_gap
-from .linalg import integer_rank, matrix_rank, symmetric_eigenvalues
+from .linalg import integer_rank, symmetric_eigenvalues
 from .reports import CheckRecord
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "verify_cochain_identities",
     "facet_degree_excess",
     "verify_facet_degree_bound",
-    "symmetric_eigenvalues",
-    "matrix_rank",
 ]
 
 KERNEL_TOL_FACTOR = 1e-7
@@ -287,6 +285,12 @@ def verify_vanishing_threshold(
 # -- cochain identities ------------------------------------------------------
 
 
+def _facet_degree_sums(x: FlagComplex, k: int) -> list[int]:
+    """For each k-simplex in skeleton order, the sum of its facets' degrees."""
+    deg_km1 = {s: simplex_degree(x, s) for s in x.skeleta[k - 1]}
+    return [sum(deg_km1[s[:i] + s[i + 1 :]] for i in range(len(s))) for s in x.skeleta[k]]
+
+
 class CochainIdentityChecker:
     """Precomputed structure for the degree-k cochain identities of one complex.
 
@@ -313,11 +317,7 @@ class CochainIdentityChecker:
         self.delta_km1 = (self.d_km2 @ self.d_km2.T + self.d_km1.T @ self.d_km1).astype(np.float64)
 
         self.deg_k = np.array([simplex_degree(x, s) for s in x.skeleta[k]], dtype=np.float64)
-        deg_km1 = {s: simplex_degree(x, s) for s in x.skeleta[k - 1]}
-        self.facet_deg_sum = np.array(
-            [sum(deg_km1[s[:i] + s[i + 1 :]] for i in range(len(s))) for s in x.skeleta[k]],
-            dtype=np.float64,
-        )
+        self.facet_deg_sum = np.array(_facet_degree_sums(x, k), dtype=np.float64)
         self.restrictions = [m.astype(np.float64) for m in restriction_matrices(x, k)]
 
         # Link pairs: for each (k-1)-simplex eta and each adjacent pair v < w
@@ -450,13 +450,10 @@ def facet_degree_excess(x: FlagComplex, k: int) -> int:
     """Max over k-simplices of (sum of facet degrees) - k * (own degree)."""
     if k < 1 or k > x.max_dim or not x.skeleta[k]:
         raise ValueError(f"no {k}-simplices")
-    deg_km1 = {s: simplex_degree(x, s) for s in x.skeleta[k - 1]}
-    best = None
-    for s in x.skeleta[k]:
-        excess = sum(deg_km1[s[:i] + s[i + 1 :]] for i in range(len(s))) - k * simplex_degree(x, s)
-        if best is None or excess > best:
-            best = excess
-    return best
+    return max(
+        facet_sum - k * simplex_degree(x, s)
+        for facet_sum, s in zip(_facet_degree_sums(x, k), x.skeleta[k])
+    )
 
 
 def verify_facet_degree_bound(x: FlagComplex, instance: str = "") -> list[CheckRecord]:

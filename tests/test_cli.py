@@ -178,6 +178,12 @@ class TestExitCodes:
     def test_cap_exceeded(self):
         assert main(["spectra", "--complete", "12", "--simplex-cap", "50"]) == 3
 
+    @pytest.mark.parametrize("name", ["FLAGSPECTRA_SIMPLEX_CAP", "FLAGSPECTRA_MAX_DIM"])
+    def test_bad_env_cap(self, name, monkeypatch, capsys):
+        monkeypatch.setenv(name, "abc")
+        assert main(["spectra", "--cycle", "5"]) == 2
+        assert f"input error: environment variable {name}" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def invoke(self, args):

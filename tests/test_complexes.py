@@ -20,11 +20,10 @@ from flagspectra import (
     independence_complex,
     link,
     random_gnp,
-    restrict_cochain,
     simplex_degree,
     turan_graph,
 )
-from flagspectra.complexes import Cochain, random_cochain, sort_sign
+from flagspectra.complexes import Cochain, random_cochain, restriction_matrices, sort_sign
 
 
 def brute_force_cliques(g, size):
@@ -217,21 +216,21 @@ class TestCochains:
         # gives value on [0,2] equal to the sign of (1,0,2), namely -1
         x = build_flag_complex(complete_graph(3), max_dim=2)
         phi = Cochain(2, np.array([1.0]))
-        restricted = restrict_cochain(x, phi, 1)
+        restricted = restriction_matrices(x, 2)[1] @ phi.values
         idx = x.index[1][(0, 2)]
-        assert restricted.values[idx] == -1.0
-        assert restricted.values[x.index[1][(0, 1)]] == 0.0  # 1 already inside
+        assert restricted[idx] == -1.0
+        assert restricted[x.index[1][(0, 1)]] == 0.0  # 1 already inside
 
     def test_vertex_outside_every_simplex(self):
         g = Graph(4, [(0, 1), (1, 2), (0, 2)])
         x = build_flag_complex(g, max_dim=2)
         phi = Cochain(2, np.ones(len(x.skeleta[2])))
-        assert not restrict_cochain(x, phi, 3).values.any()
+        assert not (restriction_matrices(x, 2)[3] @ phi.values).any()
 
     def test_degree_zero_rejected(self):
         x = build_flag_complex(complete_graph(3), max_dim=2)
         with pytest.raises(ValueError):
-            restrict_cochain(x, Cochain(0, np.ones(3)), 0)
+            restriction_matrices(x, 0)
 
     def test_restriction_norm_double_count(self):
         # sum over vertices of ||phi_u||^2 equals (k+1) ||phi||^2
@@ -243,8 +242,7 @@ class TestCochains:
                     break
                 phi = random_cochain(x, k, rng)
                 total = sum(
-                    float(np.dot(r.values, r.values))
-                    for r in (restrict_cochain(x, phi, u) for u in range(g.n))
+                    float(np.dot(r, r)) for r in (m @ phi.values for m in restriction_matrices(x, k))
                 )
                 norm = float(np.dot(phi.values, phi.values))
                 assert total == pytest.approx((k + 1) * norm, rel=1e-12)
