@@ -20,6 +20,7 @@ from flagspectra import (
     fractional_strong_domination,
     independence_connectivity,
     independent_domination_number,
+    lambda_max,
     total_domination_number,
     verify_gram_row_bound,
     verify_spectral_connectivity_bound,
@@ -59,9 +60,10 @@ for n in range(3, 13):
 
 section("The largest Laplacian eigenvalue against Gram row sums")
 g = cycle_graph(9)
-rec = verify_gram_row_bound(g, edge_incidence_representation(g), instance="cycle(9)")
+lam = lambda_max(g)
+rec = verify_gram_row_bound(lam, edge_incidence_representation(g), instance="cycle(9)")
 print(f"  lambda_max = {rec.lhs:.4f} <= max Gram row sum = {rec.rhs:.4f}: {'ok' if rec.passed else 'no'}")
-rec = verify_spectral_connectivity_bound(g, instance="cycle(9)")
+rec = verify_spectral_connectivity_bound(g.n, lam, independence_connectivity(g), instance="cycle(9)")
 print(f"  eta(I) = {rec.lhs:.0f} >= n/lambda_max = {rec.rhs:.4f}: {'ok' if rec.passed else 'no'}")
 
 section("Blow-ups leave the independence-complex connectivity unchanged")

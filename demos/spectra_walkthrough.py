@@ -41,12 +41,12 @@ print(f"spectral gap = {spectral_gap(g):.6f}  (formula: block_size*(blocks-1) = 
 for k in range(r):
     mu = min_hodge_eigenvalue(g, k)
     print(f"  mu_{k} = {mu:.6f}   (formula block_size*(blocks-k-1) = {ell * (r - k - 1)})")
-for rec in verify_eigenvalue_recursion(g, instance="turan(3,2)"):
+profile = betti_profile(x)
+for rec in verify_eigenvalue_recursion(profile, g.n, instance="turan(3,2)"):
     print(f"  k={rec.k}: k*mu_k = {rec.lhs:.6f} vs (k+1)*mu_(k-1) - n = {rec.rhs:.6f}"
           f"  slack {rec.slack:+.2e}  -> {'ok' if rec.passed else 'VIOLATION'}")
 
 section("Reduced Betti numbers, two ways at once")
-profile = betti_profile(x)
 print(f"betti = {list(profile.betti)} (kernel counts, cross-checked against exact integer ranks)")
 print(f"connectivity = {profile.connectivity.describe()}"
       f"   (the complex is a wedge of {(ell - 1) ** r} spheres of dimension {r - 1})")
@@ -60,10 +60,11 @@ section("A random graph through the same checks")
 g = random_gnp(9, 0.5, seed=20240)
 x = build_flag_complex(g, max_dim=g.n - 1)
 print(f"{g}: counts {x.counts()}")
-print(f"betti = {list(betti_profile(x).betti)}")
-for rec in verify_eigenvalue_recursion(g, instance="gnp(9,0.5)"):
+profile = betti_profile(x)
+print(f"betti = {list(profile.betti)}")
+for rec in verify_eigenvalue_recursion(profile, g.n, instance="gnp(9,0.5)"):
     print(f"  k={rec.k}: slack {rec.slack:+.4f}  {'ok' if rec.passed else 'VIOLATION'}")
-for rec in verify_vanishing_threshold(g, instance="gnp(9,0.5)"):
+for rec in verify_vanishing_threshold(profile, spectral_gap(g), g.n, instance="gnp(9,0.5)"):
     if rec.detail != "hypothesis not met":
         print(f"  gap {rec.lhs:.4f} > {rec.rhs:.4f} forces betti_{rec.k} = 0: "
               f"{'ok' if rec.passed else 'VIOLATION'}")

@@ -13,14 +13,12 @@ from .graphs import (
     lambda_max,
     laplacian_matrix,
     laplacian_spectrum,
-    load_graph,
     random_gnp,
     spectral_gap,
     turan_graph,
 )
 from .complexes import (
     Cochain,
-    FlagComplex,
     build_flag_complex,
     coboundary_matrix,
     independence_complex,
@@ -29,7 +27,6 @@ from .complexes import (
 )
 from .linalg import integer_rank, symmetric_eigenvalues
 from .spectral import (
-    BettiProfile,
     CochainIdentityChecker,
     Connectivity,
     betti_profile,
@@ -43,9 +40,8 @@ from .spectral import (
     verify_facet_degree_bound,
     verify_vanishing_threshold,
 )
-from .lp import LinearProgram, LPSolution, solve_covering_lp, solve_packing_dual
+from .lp import LinearProgram, solve_covering_lp, solve_packing_dual
 from .domination import (
-    DominationReport,
     VectorRepresentation,
     best_representation_value,
     cycle_representation,
@@ -76,6 +72,6 @@ from .hypergraphs import (
     verify_integral_width_condition,
     width,
 )
-from .reports import CheckRecord, format_float, records_to_csv, records_to_json_lines
+from .reports import CheckRecord, records_to_csv, records_to_json_lines
 
 __version__ = "0.1.0"

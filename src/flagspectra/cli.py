@@ -40,6 +40,7 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     lambda_max,
+    laplacian_spectrum,
     load_graph,
     random_gnp,
     spectral_gap,
@@ -58,11 +59,10 @@ from .hypergraphs import (
     verify_integral_width_condition,
     width,
 )
-from .linalg import symmetric_eigenvalues
 from .reports import CheckRecord, records_to_csv, records_to_json_lines
 from .spectral import (
     betti_profile,
-    hodge_laplacian,
+    independence_connectivity,
     verify_eigenvalue_recursion,
     verify_facet_degree_bound,
     verify_vanishing_threshold,
@@ -226,18 +226,30 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _resolve_graph(args) -> tuple[str, Graph]:
+def _check_vertex_count(n: int, simplex_cap: int) -> None:
+    """Every command builds a complex whose 0-skeleton holds all n vertices, so
+    a generated graph larger than the simplex cap is refused before its O(n^2)
+    generation starts."""
+    if n > simplex_cap:
+        raise CapExceeded(f"complex too large: {n} simplices in dimension 0 (cap {simplex_cap})")
+
+
+def _resolve_graph(args, simplex_cap: int) -> tuple[str, Graph]:
     if args.graph:
         return args.graph, load_graph(args.graph)
     if args.turan:
         r, ell = args.turan
+        _check_vertex_count(r * ell, simplex_cap)
         return f"turan({r},{ell})", turan_graph(r, ell)
     if args.cycle:
+        _check_vertex_count(args.cycle, simplex_cap)
         return f"cycle({args.cycle})", cycle_graph(args.cycle)
     if args.complete:
+        _check_vertex_count(args.complete, simplex_cap)
         return f"complete({args.complete})", complete_graph(args.complete)
     if args.gnp:
         n, p, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
+        _check_vertex_count(n, simplex_cap)
         return f"gnp(n={n},p={p},seed={seed})", random_gnp(n, p, seed)
     raise InputFormatError("no graph source given")
 
@@ -260,28 +272,28 @@ def _value_record(check: str, claim: str, instance: str, value: float, k: int | 
 
 def cmd_spectra(args) -> list[CheckRecord]:
     cfg = _config_from_args(args)
-    label, g = _resolve_graph(args)
+    label, g = _resolve_graph(args, cfg.simplex_cap)
     base = complement(g) if args.independence else g
     if args.independence:
         label = f"independence({label})"
     records = [_meta_record(cfg, label)]
     max_dim = cfg.max_dim if cfg.max_dim is not None else base.n - 1
     x = build_flag_complex(base, max_dim=max_dim, simplex_cap=cfg.simplex_cap)
+    profile = betti_profile(x)
+    spectrum = laplacian_spectrum(base)
     if base.n >= 2:
         records.append(
-            _value_record("spectral_gap", "second smallest Laplacian eigenvalue", label, spectral_gap(base))
+            _value_record("spectral_gap", "second smallest Laplacian eigenvalue", label, float(spectrum[1]))
         )
     records.append(
-        _value_record("lambda_max", "largest Laplacian eigenvalue", label, lambda_max(base))
+        _value_record("lambda_max", "largest Laplacian eigenvalue", label, float(spectrum[-1]))
     )
-    for k in range(x.max_dim + 1):
-        if not x.skeleta[k]:
+    for k, mu in enumerate(profile.mins):
+        if mu is None:
             break
-        mu = float(symmetric_eigenvalues(hodge_laplacian(x, k))[0])
         records.append(
             _value_record("min_hodge_eigenvalue", "smallest degree-k Laplacian eigenvalue", label, mu, k=k)
         )
-    profile = betti_profile(x)
     for k, b in enumerate(profile.betti):
         records.append(
             _value_record("reduced_betti", "reduced Betti number of the complex", label, float(b), k=k)
@@ -297,11 +309,9 @@ def cmd_spectra(args) -> list[CheckRecord]:
             detail=eta.describe(),
         )
     )
-    records.extend(
-        verify_eigenvalue_recursion(base, instance=label, tol=cfg.recursion_tol, simplex_cap=cfg.simplex_cap)
-    )
+    records.extend(verify_eigenvalue_recursion(profile, base.n, instance=label, tol=cfg.recursion_tol))
     if base.n >= 2:
-        records.extend(verify_vanishing_threshold(base, instance=label, simplex_cap=cfg.simplex_cap))
+        records.extend(verify_vanishing_threshold(profile, float(spectrum[1]), base.n, instance=label))
     records.extend(verify_facet_degree_bound(x, instance=label))
     return records
 
@@ -333,7 +343,7 @@ def _parse_reps(spec: str, g: Graph):
 
 def cmd_domination(args) -> list[CheckRecord]:
     cfg = _config_from_args(args)
-    label, g = _resolve_graph(args)
+    label, g = _resolve_graph(args, cfg.simplex_cap)
     records = [_meta_record(cfg, label)]
     for fn, cap in (
         (domination_number, cfg.exact_cap),
@@ -357,6 +367,7 @@ def cmd_domination(args) -> list[CheckRecord]:
         _value_record(frac.parameter, "strong fractional domination optimum", label, float(frac.value), detail=frac.notes)
     )
     names, reps = _parse_reps(args.reps, g)
+    lam = lambda_max(g)
     for name, rep in zip(names, reps):
         value = representation_value(rep)
         records.append(
@@ -367,7 +378,7 @@ def cmd_domination(args) -> list[CheckRecord]:
                 float(value.value),
             )
         )
-        records.append(verify_gram_row_bound(g, rep, instance=f"{label} rep={name}"))
+        records.append(verify_gram_row_bound(lam, rep, instance=f"{label} rep={name}"))
     bound = best_representation_value(g, reps)
     records.append(
         _value_record(
@@ -377,10 +388,9 @@ def cmd_domination(args) -> list[CheckRecord]:
             float(bound.value),
         )
     )
-    records.append(verify_spectral_connectivity_bound(g, instance=label, simplex_cap=cfg.simplex_cap))
-    records.extend(
-        verify_representation_connectivity_bound(g, reps, instance=label, simplex_cap=cfg.simplex_cap)
-    )
+    eta = independence_connectivity(g, simplex_cap=cfg.simplex_cap)
+    records.append(verify_spectral_connectivity_bound(g.n, lam, eta, instance=label))
+    records.append(verify_representation_connectivity_bound(bound, eta, instance=label))
     return records
 
 
@@ -465,12 +475,12 @@ def cmd_corpus(args) -> list[CheckRecord]:
     graphs += corpus_mod.cycle_corpus()
     for label, g in graphs:
         try:
-            records.extend(
-                verify_eigenvalue_recursion(g, instance=label, tol=cfg.recursion_tol, simplex_cap=cfg.simplex_cap)
-            )
-            records.extend(verify_vanishing_threshold(g, instance=label, simplex_cap=cfg.simplex_cap))
             x = build_flag_complex(g, max_dim=g.n - 1, simplex_cap=cfg.simplex_cap)
             profile = betti_profile(x)  # raises on kernel/rank disagreement
+            spectrum = laplacian_spectrum(g)
+            gap, lam = float(spectrum[1]), float(spectrum[-1])
+            records.extend(verify_eigenvalue_recursion(profile, g.n, instance=label, tol=cfg.recursion_tol))
+            records.extend(verify_vanishing_threshold(profile, gap, g.n, instance=label))
             records.append(
                 CheckRecord(
                     check="hodge_consistency",
@@ -480,8 +490,7 @@ def cmd_corpus(args) -> list[CheckRecord]:
                     detail=f"betti={list(profile.betti)}",
                 )
             )
-            gap = spectral_gap(g)
-            mu0 = float(symmetric_eigenvalues(hodge_laplacian(x, 0))[0])
+            mu0 = profile.mins[0]
             records.append(
                 CheckRecord(
                     check="gap_consistency",
@@ -493,8 +502,7 @@ def cmd_corpus(args) -> list[CheckRecord]:
                     passed=abs(mu0 - gap) <= 1e-8,
                 )
             )
-            lam = lambda_max(g)
-            gap_comp = spectral_gap(complement(g)) if g.n >= 2 else 0.0
+            gap_comp = spectral_gap(complement(g))
             records.append(
                 CheckRecord(
                     check="complement_spectrum",
@@ -507,23 +515,15 @@ def cmd_corpus(args) -> list[CheckRecord]:
                 )
             )
             records.extend(verify_facet_degree_bound(x, instance=label))
-            records.append(verify_spectral_connectivity_bound(g, instance=label, simplex_cap=cfg.simplex_cap))
+            eta = independence_connectivity(g, simplex_cap=cfg.simplex_cap)
+            records.append(verify_spectral_connectivity_bound(g.n, lam, eta, instance=label))
             if g.num_edges:
                 rep = edge_incidence_representation(g)
-                records.append(verify_gram_row_bound(g, rep, instance=label))
-                records.extend(
-                    verify_representation_connectivity_bound(g, [rep], instance=label, simplex_cap=cfg.simplex_cap)
-                )
+                records.append(verify_gram_row_bound(lam, rep, instance=label))
+                bound = best_representation_value(g, [rep])
+                records.append(verify_representation_connectivity_bound(bound, eta, instance=label))
         except (CapExceeded, RuntimeError, ValueError) as exc:
-            records.append(
-                CheckRecord(
-                    check="error",
-                    claim="instance-level failure",
-                    instance=label,
-                    passed=False,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            records.append(_error_record(label, exc))
     for label, fam in corpus_mod.family_corpus(count=args.families, seed=cfg.seed):
         try:
             records.extend(
@@ -535,17 +535,19 @@ def cmd_corpus(args) -> list[CheckRecord]:
                 )
             )
         except (CapExceeded, RuntimeError, ValueError) as exc:
-            records.append(
-                CheckRecord(
-                    check="error",
-                    claim="instance-level failure",
-                    instance=label,
-                    passed=False,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            records.append(_error_record(label, exc))
     records.extend(_summaries(records))
     return records
+
+
+def _error_record(label: str, exc: Exception) -> CheckRecord:
+    return CheckRecord(
+        check="error",
+        claim="instance-level failure",
+        instance=label,
+        passed=False,
+        detail=f"{type(exc).__name__}: {exc}",
+    )
 
 
 def _summaries(records) -> list[CheckRecord]:
@@ -577,7 +579,7 @@ def _summaries(records) -> list[CheckRecord]:
 
 def cmd_dump_complex(args) -> str:
     cfg = _config_from_args(args)
-    label, g = _resolve_graph(args)
+    label, g = _resolve_graph(args, cfg.simplex_cap)
     base = complement(g) if args.independence else g
     max_dim = cfg.max_dim if cfg.max_dim is not None else base.n - 1
     x = build_flag_complex(base, max_dim=max_dim, simplex_cap=cfg.simplex_cap)

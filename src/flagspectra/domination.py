@@ -7,6 +7,10 @@ matrices; each optimal value comes back with a primal witness and a dual
 certificate.  The representation supremum itself is never reported as
 computed: only certified lower bounds from explicitly supplied
 representations, which is all a finite procedure can deliver.
+
+The verifiers build nothing: they take lambda_max, the connectivity of the
+independence complex and the best representation value, which the caller
+computes once per graph.
 """
 
 from __future__ import annotations
@@ -19,11 +23,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InputFormatError
-from .graphs import Graph, blow_up, cycle_graph, lambda_max
+from .graphs import Graph, cycle_graph
 from .lp import LinearProgram, solve_covering_lp
 from .reports import CheckRecord
-from .spectral import independence_connectivity
-from .complexes import DEFAULT_SIMPLEX_CAP
+from .spectral import Connectivity
 
 EXACT_SEARCH_CAP = 16
 INDEP_SEARCH_CAP = 14
@@ -309,17 +312,11 @@ def representation_from_json_dict(g: Graph, data: dict) -> VectorRepresentation:
 
 
 def verify_spectral_connectivity_bound(
-    g: Graph,
-    instance: str = "",
-    tol: float = BOUND_TOL,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
+    n: int, lam: float, eta: Connectivity, instance: str = "", tol: float = BOUND_TOL
 ) -> CheckRecord:
-    """Connectivity of the independent-set complex is at least n / lambda_max."""
-    if g.n < 1:
-        raise ValueError("empty graph")
-    lam = lambda_max(g)
-    bound = g.n / lam if lam > 1e-12 else math.inf
-    eta = independence_connectivity(g, simplex_cap=simplex_cap)
+    """Connectivity eta of the independent-set complex of an n-vertex graph
+    is at least n / lambda_max."""
+    bound = n / lam if lam > 1e-12 else math.inf
     if math.isinf(bound):
         ok = True if eta.infinite else None
         detail = "edgeless graph; complex is a full simplex" if eta.infinite else "unbounded target"
@@ -341,12 +338,12 @@ def verify_spectral_connectivity_bound(
 
 
 def verify_gram_row_bound(
-    g: Graph, rep: VectorRepresentation, instance: str = "", tol: float = BOUND_TOL
+    lam: float, rep: VectorRepresentation, instance: str = "", tol: float = BOUND_TOL
 ) -> CheckRecord:
-    """lambda_max is at most the largest row sum of the representation Gram matrix."""
+    """lambda_max of the representation's graph is at most the largest row
+    sum of the representation Gram matrix."""
     if not validate_representation(rep):
         raise ValueError("representation violates the Gram conditions")
-    lam = lambda_max(g)
     row_sums = rep.gram().astype(np.float64).sum(axis=1)
     bound = float(row_sums.max())
     return CheckRecord(
@@ -361,49 +358,19 @@ def verify_gram_row_bound(
 
 
 def verify_representation_connectivity_bound(
-    g: Graph,
-    reps: Sequence[VectorRepresentation],
-    instance: str = "",
-    blowup_weights: Sequence[Sequence[int]] = (),
-    tol: float = BOUND_TOL,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
-) -> list[CheckRecord]:
-    """Connectivity of the independent-set complex dominates every supplied
-    representation value; blow-ups with the given weights leave it unchanged."""
-    bound = best_representation_value(g, reps)
-    eta = independence_connectivity(g, simplex_cap=simplex_cap)
+    bound: DominationReport, eta: Connectivity, instance: str = "", tol: float = BOUND_TOL
+) -> CheckRecord:
+    """Connectivity eta of the independent-set complex dominates the value
+    of every supplied representation, as reported by best_representation_value."""
     ok = eta.at_least(bound.value - tol) if not math.isinf(bound.value) else eta.at_least(math.inf)
     eta_value = math.inf if eta.infinite else float(eta.floor)
-    records = [
-        CheckRecord(
-            check="connectivity_representation_bound",
-            claim="eta(independence complex) >= value of every representation",
-            instance=instance,
-            lhs=eta_value,
-            rhs=bound.value,
-            slack=eta_value - bound.value if not math.isinf(bound.value) else math.inf,
-            passed=ok,
-            detail="" if ok else f"connectivity {eta.describe()} vs bound {bound.value}",
-        )
-    ]
-    for weights in blowup_weights:
-        expanded = blow_up(g, weights)
-        eta_blow = independence_connectivity(expanded, simplex_cap=simplex_cap)
-        same = (
-            eta.infinite == eta_blow.infinite
-            and eta.exact == eta_blow.exact
-            and (eta.infinite or eta.floor == eta_blow.floor)
-        )
-        records.append(
-            CheckRecord(
-                check="blowup_invariance",
-                claim="eta(independence complex of blow-up) == eta(independence complex)",
-                instance=f"{instance} weights={tuple(weights)}",
-                lhs=float(eta_blow.floor),
-                rhs=float(eta.floor),
-                slack=0.0 if same else float(eta_blow.floor - eta.floor),
-                passed=same if (eta.exact or eta.infinite) else None,
-                detail="" if same else f"{eta_blow.describe()} vs {eta.describe()}",
-            )
-        )
-    return records
+    return CheckRecord(
+        check="connectivity_representation_bound",
+        claim="eta(independence complex) >= value of every representation",
+        instance=instance,
+        lhs=eta_value,
+        rhs=bound.value,
+        slack=eta_value - bound.value if not math.isinf(bound.value) else math.inf,
+        passed=ok,
+        detail="" if ok else f"connectivity {eta.describe()} vs bound {bound.value}",
+    )

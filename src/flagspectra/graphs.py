@@ -248,10 +248,17 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
+def _json_int(value) -> int:
+    """A JSON integer taken as is; floats, strings and booleans are refused, not coerced."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def graph_from_json_dict(data: dict) -> Graph:
     try:
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data.get("edges", [])]
+        n = _json_int(data["n"])
+        edges = [(_json_int(u), _json_int(v)) for u, v in data.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad graph JSON: {exc}") from exc
     try:

@@ -5,6 +5,8 @@ below and above (with the all-ones augmentation below degree 0), in exact
 integer arithmetic.  Reduced Betti numbers are computed twice, by counting
 near-zero Laplacian eigenvalues and by exact integer rank-nullity, and the
 two must agree; a mismatch raises instead of silently trusting either side.
+That pass, `betti_profile`, is the one analysis of a complex: the recursion
+and vanishing verifiers are pure functions of its result.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .complexes import (
     simplex_degree,
     DEFAULT_SIMPLEX_CAP,
 )
-from .graphs import Graph, spectral_gap
+from .graphs import Graph
 from .linalg import integer_rank, symmetric_eigenvalues
 from .reports import CheckRecord
 
@@ -132,25 +134,34 @@ class Connectivity:
 
 @dataclass(frozen=True)
 class BettiProfile:
-    """Reduced Betti numbers b[0..max_dim] of an enumerated complex."""
+    """Reduced Betti numbers b[0..max_dim] of an enumerated complex, with the
+    smallest Laplacian eigenvalue per degree (None where the skeleton is empty)."""
 
     betti: tuple[int, ...]
+    mins: tuple[float | None, ...]
     max_dim: int
     complete: bool
+
+    def exact_at(self, k: int) -> bool:
+        """Whether degree k sees the whole complex: below the enumeration cap,
+        or anywhere once nothing was cut off.  At a truncated top degree the
+        up-coboundary is missing, so the Laplacian and Betti number there
+        belong to the skeleton, not to the complex."""
+        return k < self.max_dim or self.complete
 
     @property
     def connectivity(self) -> Connectivity:
         for k, b in enumerate(self.betti):
             if b > 0:
-                exact = k < self.max_dim or self.complete
-                return Connectivity(k + 1, exact=exact, infinite=False, scanned=self.max_dim)
+                return Connectivity(k + 1, exact=self.exact_at(k), infinite=False, scanned=self.max_dim)
         if self.complete:
             return Connectivity(self.max_dim + 2, exact=True, infinite=True, scanned=self.max_dim)
         return Connectivity(self.max_dim + 2, exact=False, infinite=False, scanned=self.max_dim)
 
 
 def betti_profile(x: FlagComplex) -> BettiProfile:
-    """Reduced Betti numbers, computed two independent ways.
+    """Reduced Betti numbers, computed two independent ways, and the smallest
+    Laplacian eigenvalue of every nonempty degree.
 
     Route one counts Laplacian eigenvalues below 1e-7 * (1 + operator
     infinity-norm); route two is |X(k)| - rank d_k - rank d_(k-1) with exact
@@ -158,11 +169,13 @@ def betti_profile(x: FlagComplex) -> BettiProfile:
     error, never a silent pick.
     """
     betti = []
+    mins: list[float | None] = []
     rank_below = 1  # rank of the augmentation column (n >= 1)
     for k in range(x.max_dim + 1):
         count = len(x.skeleta[k])
         if count == 0:
             betti.append(0)
+            mins.append(None)
             rank_below = 0
             continue
         d_above = _upper_coboundary(x, k)
@@ -181,8 +194,9 @@ def betti_profile(x: FlagComplex) -> BettiProfile:
                 f"kernel count {from_kernel} vs rank-nullity {from_rank}"
             )
         betti.append(from_kernel)
+        mins.append(float(eigenvalues[0]))
         rank_below = rank_above
-    return BettiProfile(tuple(betti), x.max_dim, x.complete)
+    return BettiProfile(tuple(betti), tuple(mins), x.max_dim, x.complete)
 
 
 def flag_connectivity(
@@ -207,22 +221,18 @@ def independence_connectivity(
 
 
 def verify_eigenvalue_recursion(
-    g: Graph,
-    instance: str = "",
-    tol: float = RECURSION_TOL,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
+    profile: BettiProfile, n: int, instance: str = "", tol: float = RECURSION_TOL
 ) -> list[CheckRecord]:
     """Check k*mu_k >= (k+1)*mu_(k-1) - n over every consecutive pair of
-    nonempty skeleton dimensions of the clique complex."""
-    x = build_flag_complex(g, max_dim=g.n - 1, simplex_cap=simplex_cap)
-    n = g.n
-    mus: dict[int, float] = {}
-    for k in range(x.max_dim + 1):
-        if x.skeleta[k]:
-            mus[k] = float(symmetric_eigenvalues(hodge_laplacian(x, k))[0])
+    nonempty degrees of a clique complex on n vertices.
+
+    The mu_k are the profile's smallest Laplacian eigenvalues; degrees at a
+    truncated top (see BettiProfile.exact_at) are skipped.
+    """
+    mus = profile.mins
     records = []
-    for k in sorted(mus):
-        if k == 0 or (k - 1) not in mus:
+    for k in range(1, len(mus)):
+        if mus[k] is None or not profile.exact_at(k):
             continue
         lhs = k * mus[k]
         rhs = (k + 1) * mus[k - 1] - n
@@ -243,26 +253,29 @@ def verify_eigenvalue_recursion(
 
 
 def verify_vanishing_threshold(
-    g: Graph,
+    profile: BettiProfile,
+    gap: float,
+    n: int,
     instance: str = "",
     margin_tol: float = THRESHOLD_MARGIN,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
 ) -> list[CheckRecord]:
-    """When the spectral gap clears k*n/(k+1), the degree-k reduced Betti
-    number of the clique complex must vanish."""
-    if g.n < 2:
+    """When the spectral gap of the n-vertex graph clears k*n/(k+1), the
+    degree-k reduced Betti number of its clique complex must vanish.
+
+    Reads the Betti numbers from the profile; degrees at a truncated top
+    (see BettiProfile.exact_at) are skipped.
+    """
+    if n < 2:
         raise ValueError("needs at least 2 vertices")
-    x = build_flag_complex(g, max_dim=g.n - 1, simplex_cap=simplex_cap)
-    profile = betti_profile(x)
-    gap = spectral_gap(g)
-    n = g.n
     records = []
-    for k in range(x.max_dim + 1):
+    for k, betti in enumerate(profile.betti):
+        if not profile.exact_at(k):
+            continue
         threshold = k * n / (k + 1)
         margin = gap - threshold
         if margin > margin_tol:
-            ok = profile.betti[k] == 0
-            detail = "" if ok else f"betti[{k}] = {profile.betti[k]}"
+            ok = betti == 0
+            detail = "" if ok else f"betti[{k}] = {betti}"
         else:
             ok = True
             detail = "hypothesis not met"
@@ -313,8 +326,8 @@ class CochainIdentityChecker:
         self.d_k = _upper_coboundary(x, k)
         self.d_km1 = coboundary_matrix(x, k - 1)
         self.d_km2 = coboundary_matrix(x, k - 2)
-        self.delta_k = (self.d_km1 @ self.d_km1.T + self.d_k.T @ self.d_k).astype(np.float64)
-        self.delta_km1 = (self.d_km2 @ self.d_km2.T + self.d_km1.T @ self.d_km1).astype(np.float64)
+        self.delta_k = hodge_laplacian(x, k).astype(np.float64)
+        self.delta_km1 = hodge_laplacian(x, k - 1).astype(np.float64)
 
         self.deg_k = np.array([simplex_degree(x, s) for s in x.skeleta[k]], dtype=np.float64)
         self.facet_deg_sum = np.array(_facet_degree_sums(x, k), dtype=np.float64)

@@ -194,14 +194,16 @@ def test_criterion_7_incidence_identities(corpus_data):
 def test_criterion_8_spectral_bounds(corpus_data):
     with criterion(8, "Gram row bound and connectivity spectral bound: zero violations"):
         for label, g, x, profile, mus in corpus_data:
-            rec = verify_spectral_connectivity_bound(g, instance=label, tol=1e-7)
+            lam = lambda_max(g)
+            eta = independence_connectivity(g)
+            rec = verify_spectral_connectivity_bound(g.n, lam, eta, instance=label, tol=1e-7)
             assert rec.passed is not False, (label, rec.detail)
             if g.num_edges:
-                rec = verify_gram_row_bound(g, edge_incidence_representation(g), instance=label, tol=1e-7)
+                rec = verify_gram_row_bound(lam, edge_incidence_representation(g), instance=label, tol=1e-7)
                 assert rec.passed, label
         for k in range(1, 5):
-            g = cycle_graph(3 * k)
-            rec = verify_gram_row_bound(g, cycle_representation(k), instance=f"cycle({3 * k})", tol=1e-7)
+            lam = lambda_max(cycle_graph(3 * k))
+            rec = verify_gram_row_bound(lam, cycle_representation(k), instance=f"cycle({3 * k})", tol=1e-7)
             assert rec.passed
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -83,6 +84,21 @@ class TestSpectra:
         meta = parse_records(out)[0]
         assert meta["check"] == "run_config"
         assert "seed=7" in meta["detail"]
+
+    def test_max_dim_skips_capped_dimension(self, capsys):
+        # K_8 has 56 triangles; --max-dim 1 never enumerates them
+        code, out = run_cli(["spectra", "--complete", "8", "--max-dim", "1", "--simplex-cap", "50"], capsys)
+        assert code == 0
+
+    def test_max_dim_verifiers_cover_genuine_degrees(self, capsys):
+        # truncated at dimension 1, the degree-1 operator lacks its up term,
+        # so the recursion and vanishing checks stop below it
+        code, out = run_cli(["spectra", "--turan", "3", "2", "--max-dim", "1"], capsys)
+        assert code == 0
+        records = parse_records(out)
+        checked = [r for r in records if r["check"] in ("eigenvalue_recursion", "vanishing_threshold")]
+        assert checked
+        assert all(r["k"] < 1 for r in checked)
 
 
 class TestDomination:
@@ -177,6 +193,30 @@ class TestExitCodes:
 
     def test_cap_exceeded(self):
         assert main(["spectra", "--complete", "12", "--simplex-cap", "50"]) == 3
+
+    @pytest.mark.parametrize(
+        "source", [["--gnp", "100000000", "0.5", "1"], ["--complete", "100000000"], ["--turan", "10000", "10000"]]
+    )
+    def test_vertex_count_capped_before_generation(self, source, capsys):
+        start = time.monotonic()
+        assert main(["spectra", *source]) == 3
+        assert time.monotonic() - start < 1.0
+        assert "dimension 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 3, "edges": [[0, 1.7]]},
+            {"n": 3, "edges": [[True, 2]]},
+            {"n": "3", "edges": [["0", "2"]]},
+            {"n": 3.0, "edges": []},
+        ],
+    )
+    def test_graph_json_not_coerced(self, payload, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        assert main(["dump-complex", "--graph", str(path)]) == 2
+        assert "expected an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["FLAGSPECTRA_SIMPLEX_CAP", "FLAGSPECTRA_MAX_DIM"])
     def test_bad_env_cap(self, name, monkeypatch, capsys):

@@ -24,6 +24,7 @@ from flagspectra import (
     fractional_strong_domination,
     independence_connectivity,
     independent_domination_number,
+    lambda_max,
     random_gnp,
     representation_value,
     total_domination_number,
@@ -41,6 +42,16 @@ def star(leaves):
 
 def corpus():
     return [random_gnp(4 + i % 5, (0.3, 0.5, 0.7)[i % 3], seed=6000 + i) for i in range(12)]
+
+
+def spectral_bound(g, instance):
+    return verify_spectral_connectivity_bound(g.n, lambda_max(g), independence_connectivity(g), instance=instance)
+
+
+def representation_bound(g, reps, instance):
+    return verify_representation_connectivity_bound(
+        best_representation_value(g, reps), independence_connectivity(g), instance=instance
+    )
 
 
 class TestExactParameters:
@@ -226,34 +237,34 @@ class TestRepresentations:
 
 class TestVerifiers:
     def test_spectral_bound_tight_on_complete(self):
-        rec = verify_spectral_connectivity_bound(complete_graph(5), instance="k5")
+        rec = spectral_bound(complete_graph(5), instance="k5")
         assert rec.passed
         assert rec.lhs == pytest.approx(1.0)
         assert rec.rhs == pytest.approx(1.0)
 
     def test_spectral_bound_six_cycle(self):
-        rec = verify_spectral_connectivity_bound(cycle_graph(6), instance="c6")
+        rec = spectral_bound(cycle_graph(6), instance="c6")
         assert rec.passed
         assert rec.rhs == pytest.approx(1.5, abs=1e-8)
 
     def test_spectral_bound_edgeless(self):
-        rec = verify_spectral_connectivity_bound(Graph(3), instance="empty")
+        rec = spectral_bound(Graph(3), instance="empty")
         assert rec.passed is True
 
     def test_spectral_bound_corpus(self):
         for i, g in enumerate(corpus()):
-            assert verify_spectral_connectivity_bound(g, instance=f"g{i}").passed is not False
+            assert spectral_bound(g, instance=f"g{i}").passed is not False
 
     def test_gram_row_bound_four_cycle(self):
         g = cycle_graph(4)
-        rec = verify_gram_row_bound(g, edge_incidence_representation(g), instance="c4")
+        rec = verify_gram_row_bound(lambda_max(g), edge_incidence_representation(g), instance="c4")
         assert rec.passed
         assert rec.lhs == pytest.approx(4.0, abs=1e-8)  # largest Laplacian eigenvalue
         assert rec.rhs == pytest.approx(4.0, abs=1e-12)  # max Gram row sum: deg + #neighbors
 
     def test_gram_row_bound_single_edge(self):
         g = Graph(2, [(0, 1)])
-        rec = verify_gram_row_bound(g, VectorRepresentation(g, np.ones((2, 1))), instance="k2")
+        rec = verify_gram_row_bound(lambda_max(g), VectorRepresentation(g, np.ones((2, 1))), instance="k2")
         assert rec.passed
         assert rec.rhs == pytest.approx(2.0)
 
@@ -261,18 +272,16 @@ class TestVerifiers:
         for i, g in enumerate(corpus()):
             if not g.num_edges:
                 continue
-            rec = verify_gram_row_bound(g, edge_incidence_representation(g), instance=f"g{i}")
+            rec = verify_gram_row_bound(lambda_max(g), edge_incidence_representation(g), instance=f"g{i}")
             assert rec.passed
 
     def test_representation_bound_tight_on_small_cycles(self):
         for k in (1, 2, 3):
             g = cycle_graph(3 * k)
-            records = verify_representation_connectivity_bound(
-                g, [cycle_representation(k)], instance=f"c{3 * k}"
-            )
-            assert records[0].passed
-            assert records[0].lhs == pytest.approx(float(k))
-            assert records[0].rhs == pytest.approx(float(k), abs=1e-6)
+            rec = representation_bound(g, [cycle_representation(k)], instance=f"c{3 * k}")
+            assert rec.passed
+            assert rec.lhs == pytest.approx(float(k))
+            assert rec.rhs == pytest.approx(float(k), abs=1e-6)
 
     def test_connectivity_on_next_residue_cycles(self):
         # cycles one past a multiple of three keep the same connectivity value
@@ -280,23 +289,9 @@ class TestVerifiers:
             eta = independence_connectivity(cycle_graph(3 * k + 1))
             assert eta.value() == k
 
-    def test_representation_bound_with_blowups(self):
-        g = cycle_graph(5)
-        records = verify_representation_connectivity_bound(
-            g,
-            [edge_incidence_representation(g)],
-            instance="c5",
-            blowup_weights=[(1, 2, 1, 1, 2), (2, 2, 2, 2, 2)],
-        )
-        assert all(rec.passed for rec in records)
-        blow = [rec for rec in records if rec.check == "blowup_invariance"]
-        assert len(blow) == 2
-
     def test_representation_bound_corpus(self):
         for i, g in enumerate(corpus()):
             if not g.num_edges or g.isolated_vertices():
                 continue
-            records = verify_representation_connectivity_bound(
-                g, [edge_incidence_representation(g)], instance=f"g{i}"
-            )
-            assert records[0].passed is not False
+            rec = representation_bound(g, [edge_incidence_representation(g)], instance=f"g{i}")
+            assert rec.passed is not False

@@ -38,6 +38,10 @@ def corpus():
     return graphs
 
 
+def full_profile(g):
+    return betti_profile(build_flag_complex(g, max_dim=g.n - 1))
+
+
 def reduced_euler_characteristic(x):
     return sum((-1) ** k * len(x.skeleta[k]) for k in range(x.max_dim + 1)) - 1
 
@@ -146,6 +150,15 @@ class TestBettiProfile:
         assert profile.betti == (1, 0)
         assert profile.connectivity.value() == 1
 
+    def test_mins_are_smallest_laplacian_eigenvalues(self):
+        for g in corpus():
+            x = build_flag_complex(g, max_dim=g.n - 1)
+            for k, mu in enumerate(betti_profile(x).mins):
+                if x.skeleta[k]:
+                    assert mu == pytest.approx(min_hodge_eigenvalue(g, k), abs=1e-9)
+                else:
+                    assert mu is None
+
 
 class TestConnectivityHelpers:
     def test_independence_connectivity_of_cycles(self):
@@ -167,25 +180,36 @@ class TestConnectivityHelpers:
 class TestEigenvalueRecursion:
     def test_turan_equality(self):
         for r, ell in [(2, 2), (3, 2), (3, 3), (4, 2)]:
-            records = verify_eigenvalue_recursion(turan_graph(r, ell), instance="t")
+            g = turan_graph(r, ell)
+            records = verify_eigenvalue_recursion(full_profile(g), g.n, instance="t")
             assert len(records) == r - 1
             for rec in records:
                 assert rec.passed
                 assert abs(rec.slack) <= 1e-7
 
     def test_complete_graph_holds(self):
-        for rec in verify_eigenvalue_recursion(complete_graph(5), instance="k5"):
+        for rec in verify_eigenvalue_recursion(full_profile(complete_graph(5)), 5, instance="k5"):
             assert rec.passed
 
     def test_corpus_zero_violations(self):
         for i, g in enumerate(corpus()):
-            for rec in verify_eigenvalue_recursion(g, instance=f"g{i}"):
+            for rec in verify_eigenvalue_recursion(full_profile(g), g.n, instance=f"g{i}"):
                 assert rec.passed, rec
+
+    def test_truncated_top_degree_skipped(self):
+        # the degree-1 Laplacian of K_8's 1-skeleton misses its up term and
+        # would fail the recursion; only genuine degrees are checked
+        g = complete_graph(8)
+        truncated = betti_profile(build_flag_complex(g, max_dim=1))
+        assert verify_eigenvalue_recursion(truncated, g.n, instance="k8") == []
+        two = betti_profile(build_flag_complex(g, max_dim=2))
+        assert [rec.k for rec in verify_eigenvalue_recursion(two, g.n, instance="k8")] == [1]
 
 
 class TestVanishingThreshold:
     def test_complete_graph_all_vanish(self):
-        records = verify_vanishing_threshold(complete_graph(5), instance="k5")
+        g = complete_graph(5)
+        records = verify_vanishing_threshold(full_profile(g), spectral_gap(g), g.n, instance="k5")
         assert all(rec.passed for rec in records)
         assert all("hypothesis" not in rec.detail for rec in records if rec.k == 0)
 
@@ -193,7 +217,8 @@ class TestVanishingThreshold:
         # gap equals the degree r-1 threshold exactly, so the hypothesis is
         # vacuous there even though that Betti number is positive
         r, ell = 3, 2
-        records = verify_vanishing_threshold(turan_graph(r, ell), instance="t")
+        g = turan_graph(r, ell)
+        records = verify_vanishing_threshold(full_profile(g), spectral_gap(g), g.n, instance="t")
         at_sharp = [rec for rec in records if rec.k == r - 1]
         assert at_sharp[0].detail == "hypothesis not met"
         assert abs(at_sharp[0].slack) <= 1e-9
@@ -202,8 +227,17 @@ class TestVanishingThreshold:
 
     def test_corpus_zero_violations(self):
         for i, g in enumerate(corpus()):
-            for rec in verify_vanishing_threshold(g, instance=f"g{i}"):
+            for rec in verify_vanishing_threshold(full_profile(g), spectral_gap(g), g.n, instance=f"g{i}"):
                 assert rec.passed, rec
+
+    def test_truncated_top_degree_skipped(self):
+        # K_8 cut at dimension 1 has 21 one-cycles that the triangles would fill
+        g = complete_graph(8)
+        truncated = betti_profile(build_flag_complex(g, max_dim=1))
+        assert truncated.betti[1] == 21
+        records = verify_vanishing_threshold(truncated, spectral_gap(g), g.n, instance="k8")
+        assert [rec.k for rec in records] == [0]
+        assert all(rec.passed for rec in records)
 
 
 class TestFacetDegreeBound:
