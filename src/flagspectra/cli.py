@@ -36,6 +36,7 @@ from .domination import (
 from .errors import CapExceeded, InputFormatError
 from .graphs import (
     Graph,
+    check_vertex_count,
     complement,
     complete_graph,
     cycle_graph,
@@ -226,30 +227,22 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _check_vertex_count(n: int, simplex_cap: int) -> None:
-    """Every command builds a complex whose 0-skeleton holds all n vertices, so
-    a generated graph larger than the simplex cap is refused before its O(n^2)
-    generation starts."""
-    if n > simplex_cap:
-        raise CapExceeded(f"complex too large: {n} simplices in dimension 0 (cap {simplex_cap})")
-
-
 def _resolve_graph(args, simplex_cap: int) -> tuple[str, Graph]:
     if args.graph:
-        return args.graph, load_graph(args.graph)
+        return args.graph, load_graph(args.graph, simplex_cap)
     if args.turan:
         r, ell = args.turan
-        _check_vertex_count(r * ell, simplex_cap)
+        check_vertex_count(r * ell, simplex_cap)
         return f"turan({r},{ell})", turan_graph(r, ell)
     if args.cycle:
-        _check_vertex_count(args.cycle, simplex_cap)
+        check_vertex_count(args.cycle, simplex_cap)
         return f"cycle({args.cycle})", cycle_graph(args.cycle)
     if args.complete:
-        _check_vertex_count(args.complete, simplex_cap)
+        check_vertex_count(args.complete, simplex_cap)
         return f"complete({args.complete})", complete_graph(args.complete)
     if args.gnp:
         n, p, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
-        _check_vertex_count(n, simplex_cap)
+        check_vertex_count(n, simplex_cap)
         return f"gnp(n={n},p={p},seed={seed})", random_gnp(n, p, seed)
     raise InputFormatError("no graph source given")
 
@@ -470,6 +463,10 @@ def cmd_corpus(args) -> list[CheckRecord]:
     cfg = _config_from_args(args)
     records = [_meta_record(cfg, f"corpus(seed={cfg.seed})")]
     sizes = tuple(n for n in corpus_mod.GNP_SIZES if n <= args.nmax)
+    if args.graphs > 0 and not sizes:
+        raise InputFormatError(
+            f"--nmax {args.nmax} leaves no random graph size (smallest is {corpus_mod.GNP_SIZES[0]})"
+        )
     graphs = corpus_mod.gnp_corpus(count=args.graphs, seed=cfg.seed, sizes=sizes)
     graphs += corpus_mod.turan_corpus()
     graphs += corpus_mod.cycle_corpus()

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import CapExceeded, InputFormatError
 from .linalg import symmetric_eigenvalues
 
 _MASK64 = (1 << 64) - 1
@@ -255,12 +255,24 @@ def _json_int(value) -> int:
     return value
 
 
-def graph_from_json_dict(data: dict) -> Graph:
+def check_vertex_count(n: int, simplex_cap: int) -> None:
+    """Every command builds a complex whose 0-skeleton holds all n vertices, so
+    a graph with more vertices than the simplex cap is refused before its
+    Graph (O(n) lists) or its generation (O(n^2) pairs) allocates."""
+    if n > simplex_cap:
+        raise CapExceeded(f"complex too large: {n} simplices in dimension 0 (cap {simplex_cap})")
+
+
+def graph_from_json_dict(data: dict, simplex_cap: int | None = None) -> Graph:
+    """Graph from its JSON form; with a simplex_cap, n is checked against it
+    before the Graph is built."""
     try:
         n = _json_int(data["n"])
         edges = [(_json_int(u), _json_int(v)) for u, v in data.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad graph JSON: {exc}") from exc
+    if simplex_cap is not None:
+        check_vertex_count(n, simplex_cap)
     try:
         return Graph(n, edges)
     except ValueError as exc:
@@ -273,8 +285,10 @@ def format_graph_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph_text(text: str) -> Graph:
-    """Parse the 'n m' / edge-list text form; raises InputFormatError with the bad line."""
+def parse_graph_text(text: str, simplex_cap: int | None = None) -> Graph:
+    """Parse the 'n m' / edge-list text form; raises InputFormatError with the bad line.
+
+    With a simplex_cap, n is checked against it before any edge is read."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise InputFormatError("empty graph file")
@@ -285,6 +299,8 @@ def parse_graph_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise InputFormatError(f"line 1: expected integers, got {lines[0]!r}") from None
+    if simplex_cap is not None:
+        check_vertex_count(n, simplex_cap)
     if len(lines) - 1 != m:
         raise InputFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -302,8 +318,11 @@ def parse_graph_text(text: str) -> Graph:
         raise InputFormatError(str(exc)) from exc
 
 
-def load_graph(path: str) -> Graph:
-    """Load either the JSON or the text form, sniffing on the leading character."""
+def load_graph(path: str, simplex_cap: int) -> Graph:
+    """Load either the JSON or the text form, sniffing on the leading character.
+
+    A graph with more vertices than simplex_cap raises CapExceeded before its
+    Graph is built."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -312,5 +331,5 @@ def load_graph(path: str) -> Graph:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
-        return graph_from_json_dict(data)
-    return parse_graph_text(text)
+        return graph_from_json_dict(data, simplex_cap)
+    return parse_graph_text(text, simplex_cap)

@@ -147,24 +147,37 @@ def width(h: Hypergraph, cap: int = WIDTH_SEARCH_CAP) -> tuple[int, tuple[int, .
     if m > cap:
         raise CapExceeded(f"width search capped at {cap} edges (got {m})")
     masks = h.edge_masks()
+    # meets[j] has bit i set iff edges i and j intersect; intersecting is
+    # symmetric, so a combo meets every edge iff the OR of its rows is full
+    meets = [sum(1 << i for i, other in enumerate(masks) if mask & other) for mask in masks]
+    full = (1 << m) - 1
     for t in range(1, m + 1):
         for combo in combinations(range(m), t):
-            if all(any(masks[i] & masks[j] for j in combo) for i in range(m)):
+            met = 0
+            for j in combo:
+                met |= meets[j]
+            if met == full:
                 return t, combo
     raise AssertionError("unreachable: the full edge set always covers")
+
+
+def _incidence_matrix(h: Hypergraph) -> np.ndarray:
+    """The edges x ground 0/1 int64 incidence matrix; B @ B.T holds the
+    pairwise intersection sizes."""
+    mat = np.zeros((h.num_edges, h.ground), dtype=np.int64)
+    rows = [i for i, e in enumerate(h.edges) for _ in e]
+    cols = [v for e in h.edges for v in e]
+    mat[rows, cols] = 1
+    return mat
 
 
 def fractional_width_lp(h: Hypergraph) -> LinearProgram:
     """Covering LP: weight edges so each edge sees total weighted intersection >= 1."""
     if h.num_edges == 0:
         raise ValueError("empty hypergraph")
-    masks = h.edge_masks()
-    m = len(masks)
-    a = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            a[i, j] = (masks[i] & masks[j]).bit_count()
-    return LinearProgram(np.ones(m), a, np.ones(m))
+    b = _incidence_matrix(h)
+    m = h.num_edges
+    return LinearProgram(np.ones(m), b @ b.T, np.ones(m))
 
 
 def fractional_width(h: Hypergraph) -> float:
@@ -179,12 +192,7 @@ def incidence_representation(h: Hypergraph) -> VectorRepresentation:
     The Gram entries are the pairwise intersection sizes, so the value of
     this representation equals the fractional width of the hypergraph.
     """
-    g = line_graph(h)
-    mat = np.zeros((h.num_edges, h.ground), dtype=np.int64)
-    for i, e in enumerate(h.edges):
-        for v in e:
-            mat[i, v] = 1
-    return VectorRepresentation(g, mat)
+    return VectorRepresentation(line_graph(h), _incidence_matrix(h))
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,10 @@ class TestCorpus:
         assert all(r["pass"] for r in summaries)
         assert not any(r["check"] == "error" for r in records)
 
+    def test_nmax_below_every_random_size(self, capsys):
+        assert main(["corpus", "--nmax", "3", "--graphs", "2", "--families", "1"]) == 2
+        assert "input error: --nmax 3" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error(self):
@@ -202,6 +206,19 @@ class TestExitCodes:
         assert main(["spectra", *source]) == 3
         assert time.monotonic() - start < 1.0
         assert "dimension 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", [json.dumps({"n": 5000000, "edges": []}), "5000000 0\n"], ids=["json", "text"]
+    )
+    def test_graph_file_vertex_count_capped_before_build(self, text, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("Graph built before the vertex cap was checked")
+
+        monkeypatch.setattr("flagspectra.graphs.Graph", refuse)
+        path = tmp_path / "big"
+        path.write_text(text)
+        assert main(["spectra", "--graph", str(path)]) == 3
+        assert "5000000 simplices in dimension 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload",

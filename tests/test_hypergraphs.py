@@ -6,8 +6,13 @@ it, uniform weight 1/4 is feasible with total 3/4, and the same vector is a
 packing certificate, so the fractional width is exactly 3/4.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from flagspectra import (
     CapExceeded,
@@ -31,7 +36,7 @@ from flagspectra import (
     width,
 )
 from flagspectra.corpus import family_corpus, planted_sdr_family
-from flagspectra.hypergraphs import family_from_json_dict, hypergraph_from_json_dict
+from flagspectra.hypergraphs import family_from_json_dict, fractional_width_lp, hypergraph_from_json_dict
 
 
 def triangle_hypergraph():
@@ -120,8 +125,6 @@ class TestFractionalWidth:
     def test_triangle_three_quarters(self):
         h = triangle_hypergraph()
         # uniform 1/4 is feasible: 2*(1/4) + 1/4 + 1/4 = 1 per row
-        from flagspectra.hypergraphs import fractional_width_lp
-
         lp = fractional_width_lp(h)
         uniform = np.full(3, 0.25)
         assert np.allclose(lp.matrix @ uniform, 1.0)
@@ -137,6 +140,49 @@ class TestFractionalWidth:
             h = fam.union(range(fam.size))
             value = representation_value(incidence_representation(h)).value
             assert value == pytest.approx(fractional_width(h), abs=1e-6), label
+
+
+def brute_force_width(h):
+    """Reference search: test every edge against every combo member, in the
+    same combination order as `width`."""
+    masks = h.edge_masks()
+    m = len(masks)
+    for t in range(1, m + 1):
+        for combo in combinations(range(m), t):
+            if all(any(masks[i] & masks[j] for j in combo) for i in range(m)):
+                return t, combo
+    raise AssertionError("the full edge set always covers")
+
+
+# ground <= 8, 1-12 edges, duplicate edges allowed
+hypergraphs = st.integers(1, 8).flatmap(
+    lambda ground: st.lists(
+        st.sets(st.integers(0, ground - 1), min_size=1), min_size=1, max_size=12
+    ).map(lambda edges: Hypergraph(ground, edges))
+)
+property_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestWidthProperties:
+    @property_settings
+    @given(hypergraphs)
+    def test_width_matches_brute_force(self, h):
+        assert width(h) == brute_force_width(h)
+
+    @property_settings
+    @given(hypergraphs)
+    def test_lp_matrix_is_intersection_sizes(self, h):
+        masks = h.edge_masks()
+        expected = np.array([[(a & b).bit_count() for b in masks] for a in masks], dtype=float)
+        assert np.array_equal(fractional_width_lp(h).matrix, expected)
+
+    @property_settings
+    @given(hypergraphs)
+    def test_fractional_width_matches_scipy(self, h):
+        lp = fractional_width_lp(h)
+        ref = linprog(lp.objective, A_ub=-lp.matrix, b_ub=-lp.rhs, bounds=(0, None), method="highs")
+        assert ref.success
+        assert fractional_width(h) == pytest.approx(ref.fun, abs=1e-9)
 
 
 class TestSdrSearch:
