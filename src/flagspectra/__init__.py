@@ -40,7 +40,7 @@ from .spectral import (
     verify_facet_degree_bound,
     verify_vanishing_threshold,
 )
-from .lp import LinearProgram, solve_covering_lp, solve_packing_dual
+from .lp import LinearProgram, solve_covering_lp
 from .domination import (
     VectorRepresentation,
     best_representation_value,

@@ -22,7 +22,7 @@ from .complexes import DEFAULT_SIMPLEX_CAP, build_flag_complex
 from .domination import VectorRepresentation
 from .errors import CapExceeded, InputFormatError
 from .graphs import Graph, induced_subgraph
-from .lp import LinearProgram, solve_covering_lp
+from .lp import LinearProgram, solve_covering_batch, solve_covering_lp
 from .reports import CheckRecord
 from .spectral import betti_profile
 
@@ -257,6 +257,48 @@ def _nonempty_subsets(m: int):
         yield mask, [i for i in range(m) if mask >> i & 1]
 
 
+def union_lp_matrices(whole: Hypergraph, block_sizes: Sequence[int], masks: Sequence[int]) -> list[np.ndarray]:
+    """Width-LP matrices of sub-unions of `whole`, one per mask.
+
+    `whole` is a family's full union, its edges in consecutive member blocks
+    of `block_sizes`.  The union of the members a mask selects keeps their
+    blocks in member order, so its intersection matrix is the principal
+    submatrix of whole's on those rows: `fractional_width_lp(fam.union(I))`
+    without building that union.
+    """
+    incidence = _incidence_matrix(whole)
+    gram = (incidence @ incidence.T).astype(np.float64)
+    owner = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    out = []
+    for mask in masks:
+        rows = np.flatnonzero(mask >> owner & 1)
+        out.append(gram[rows[:, None], rows])
+    return out
+
+
+def _subfamily_fractional_widths(fam: HypergraphFamily) -> list[float]:
+    """w* of every subfamily union, indexed by subset mask (entry 0 unused).
+
+    The LPs are solved in one lockstep sweep, smallest subfamilies first.
+    The full union is solved again on its own by `fractional_width` as a
+    second route through the simplex; the two values must agree bitwise.
+    """
+    if any(h.num_edges == 0 for h in fam.members):
+        raise ValueError("empty hypergraph")
+    whole = fam.union(range(fam.size))
+    full = (1 << fam.size) - 1
+    masks = sorted(range(1, full + 1), key=int.bit_count)
+    matrices = union_lp_matrices(whole, [h.num_edges for h in fam.members], masks)
+    values = [0.0] * (full + 1)
+    for mask, solution in zip(masks, solve_covering_batch(matrices)):
+        assert solution.optimal  # positive diagonals make large weights feasible
+        values[mask] = solution.value
+    single = fractional_width(whole)
+    if single != values[full]:
+        raise RuntimeError(f"batched LP gives w* {values[full]!r} on the full union, single LP {single!r}")
+    return values
+
+
 def verify_fractional_width_condition(
     fam: HypergraphFamily,
     instance: str = "",
@@ -275,8 +317,9 @@ def verify_fractional_width_condition(
     worst_margin = None
     borderline = False
     violated = None
+    values = _subfamily_fractional_widths(fam)
     for mask, indices in _nonempty_subsets(fam.size):
-        value = fractional_width(fam.union(indices))
+        value = values[mask]
         margin = value - (len(indices) - 1)
         if worst_margin is None or margin < worst_margin:
             worst_margin = margin

@@ -1,11 +1,18 @@
 """Small dense linear programs with primal-dual certification.
 
 Problems arrive in covering form (minimize c.x subject to A x >= b, x >= 0)
-or packing form (maximize c.x subject to A x <= b, x >= 0).  Both run through
-one two-phase primal simplex on a dense tableau with Bland's entering rule,
-which the frequently degenerate Gram-matrix instances need for termination.
-Optimal solutions always carry a dual vector, and feasibility of both sides
-plus the duality gap are checked before a solution is returned.
+and run through a two-phase primal simplex on a dense tableau with Bland's
+entering rule, which the frequently degenerate Gram-matrix instances need
+for termination.  Optimal solutions always carry a dual vector, and
+feasibility of both sides plus the duality gap are checked before a
+solution is returned.
+
+A subset sweep solves hundreds of tiny LPs of one form (unit objective and
+right-hand side, square nonnegative matrix with a positive diagonal).  Too
+small to gain from vectorizing one tableau, they are solved together:
+`solve_covering_batch` runs the same pivots on a stack of padded tableaus
+in lockstep, one numpy operation per step for the whole stack, and returns
+the same solutions bit for bit.
 """
 
 from __future__ import annotations
@@ -21,11 +28,7 @@ GAP_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Objective, constraint matrix, and right-hand side; x >= 0 implicit.
-
-    The same data serves both orientations: covering reads it as
-    min c.x st A x >= b, packing as max c.x st A x <= b.
-    """
+    """Objective, constraint matrix, and right-hand side of min c.x st A x >= b; x >= 0 implicit."""
 
     objective: np.ndarray
     matrix: np.ndarray
@@ -73,6 +76,24 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
+def _ratio_row(tab, basis, col, n_rows):
+    """Minimum-ratio row for entering column col, or -1 when none bounds it.
+
+    Ratios within 1e-12 of the running best count as ties, and a tie goes
+    to the smaller basic index (Bland's leaving rule).
+    """
+    row = -1
+    best = None
+    for i in range(n_rows):
+        a = tab[i, col]
+        if a > FEAS_TOL:
+            ratio = tab[i, -1] / a
+            if best is None or ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < basis[row]):
+                best = ratio
+                row = i
+    return row
+
+
 def _run(tab, basis, allowed, artificial_from, cap, iters):
     """Minimize the objective row over allowed entering columns.
 
@@ -96,14 +117,7 @@ def _run(tab, basis, allowed, artificial_from, cap, iters):
                 if row < 0 or basis[i] < basis[row]:
                     row = i
         if row < 0:
-            best = None
-            for i in range(n_rows):
-                a = tab[i, col]
-                if a > FEAS_TOL:
-                    ratio = tab[i, -1] / a
-                    if best is None or ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < basis[row]):
-                        best = ratio
-                        row = i
+            row = _ratio_row(tab, basis, col, n_rows)
             if row < 0:
                 return "unbounded", iters
         _pivot(tab, basis, row, col)
@@ -197,19 +211,14 @@ def _solve(c, a, b, senses, cap):
     return "optimal", x, y
 
 
-def _certify(status, x, y, c, a, b, covering, notes):
+def _certify(status, x, y, c, a, b, notes):
     if status != "optimal":
         return LPSolution(status=status, notes=notes)
     value = float(c @ x)
     residual = a @ x - b
-    if covering:
-        primal_ok = bool((residual >= -CERT_TOL * (1.0 + np.abs(b))).all()) if len(b) else True
-        dual_res = c - a.T @ y if len(b) else c
-        dual_ok = bool((dual_res >= -CERT_TOL * (1.0 + np.abs(c))).all())
-    else:
-        primal_ok = bool((residual <= CERT_TOL * (1.0 + np.abs(b))).all()) if len(b) else True
-        dual_res = a.T @ y - c if len(b) else -c
-        dual_ok = bool((dual_res >= -CERT_TOL * (1.0 + np.abs(c))).all())
+    primal_ok = bool((residual >= -CERT_TOL * (1.0 + np.abs(b))).all()) if len(b) else True
+    dual_res = c - a.T @ y if len(b) else c
+    dual_ok = bool((dual_res >= -CERT_TOL * (1.0 + np.abs(c))).all())
     sign_ok = bool((x >= -CERT_TOL).all()) and bool((y >= -CERT_TOL).all())
     gap = abs(value - float(b @ y)) if len(b) else abs(value)
     gap_ok = gap <= GAP_TOL * (1.0 + abs(value))
@@ -221,7 +230,7 @@ def _certify(status, x, y, c, a, b, covering, notes):
     return LPSolution(status="optimal", x=x, y=y, value=value, notes=notes)
 
 
-def _drop_zero_rows(a, b, covering):
+def _drop_zero_rows(a, b):
     """Presolve: remove all-zero rows, failing fast when one is unsatisfiable."""
     keep = []
     dropped = []
@@ -229,8 +238,7 @@ def _drop_zero_rows(a, b, covering):
         if np.any(a[i]):
             keep.append(i)
             continue
-        violated = b[i] > FEAS_TOL if covering else b[i] < -FEAS_TOL
-        if violated:
+        if b[i] > FEAS_TOL:
             return None, None, None, i
         dropped.append(i)
     return a[keep], b[keep], (keep, dropped), None
@@ -241,7 +249,7 @@ def solve_covering_lp(lp: LinearProgram, iteration_cap: int | None = None) -> LP
     c, a, b = lp.objective, lp.matrix, lp.rhs
     if iteration_cap is None:
         iteration_cap = 10 * (lp.num_vars + lp.num_constraints) ** 2 + 100
-    a2, b2, kept, bad = _drop_zero_rows(a, b, covering=True)
+    a2, b2, kept, bad = _drop_zero_rows(a, b)
     if bad is not None:
         return LPSolution(status="infeasible", notes=f"zero row {bad} requires {b[bad]:g} > 0")
     keep, dropped = kept
@@ -251,22 +259,157 @@ def solve_covering_lp(lp: LinearProgram, iteration_cap: int | None = None) -> LP
     if y_kept is not None:
         y = np.zeros(len(b))
         y[keep] = y_kept
-    return _certify(status, x, y, c, a, b, covering=True, notes=notes)
+    return _certify(status, x, y, c, a, b, notes=notes)
 
 
-def solve_packing_dual(lp: LinearProgram, iteration_cap: int | None = None) -> LPSolution:
-    """max c.x subject to A x <= b, x >= 0, with a certifying dual (min b.y, A^T y >= c, y >= 0)."""
-    c, a, b = lp.objective, lp.matrix, lp.rhs
-    if iteration_cap is None:
-        iteration_cap = 10 * (lp.num_vars + lp.num_constraints) ** 2 + 100
-    a2, b2, kept, bad = _drop_zero_rows(a, b, covering=False)
-    if bad is not None:
-        return LPSolution(status="infeasible", notes=f"zero row {bad} requires 0 <= {b[bad]:g}")
-    keep, dropped = kept
-    notes = f"dropped zero rows {dropped}" if dropped else ""
-    status, x, y_kept = _solve(-c, a2, b2, ["<="] * len(b2), iteration_cap)
-    if status != "optimal":
-        return LPSolution(status=status, notes=notes)
-    y = np.zeros(len(b))
-    y[keep] = -y_kept
-    return _certify(status, x, y, c, a, b, covering=False, notes=notes)
+# Padded tableau bytes per lockstep batch.  The sweep of every corpus
+# family (at most 15 LPs of 12 rows) fits in one batch, and a step's
+# temporaries, each the size of the tableau, stay small enough for the cache.
+BATCH_BYTES = 256 * 1024
+# caps the minimum ratio of a column with no positive entry, so that
+# `ratio - best` never computes inf - inf
+_FLOAT_MAX = np.finfo(np.float64).max
+
+
+def _lockstep(t, basis, live, iters, caps):
+    """`_run` on every live tableau of a stack at once, with the x and
+    surplus columns allowed to enter.
+
+    t is (B, n+1, 2n+1): n padded constraint rows and the objective row, over
+    n x columns, n surplus columns and the right-hand side.  The artificial
+    columns are left out, since they never re-enter.  basis holds padded
+    column indices (an artificial at 2n + its row), which order columns as
+    the unpadded indices do.  Padding rows and columns stay zero and never
+    pivot.  Returns the mask of instances found unbounded.
+    """
+    n = basis.shape[1]
+    batch = np.arange(len(t))
+    objective = t[:, n, : 2 * n]
+    rhs = t[:, :n, -1]
+    unbounded = np.zeros(len(t), dtype=bool)
+    product = np.empty_like(t)
+    while True:
+        negative = objective < -FEAS_TOL
+        live &= negative.any(axis=1)
+        if not np.count_nonzero(live):
+            return unbounded
+        col = negative.argmax(axis=1)
+        a = t[batch, :n, col]
+        # prefer evicting a zero-valued basic artificial touched by the column
+        evict = (basis >= 2 * n) & (rhs <= FEAS_TOL) & (np.abs(a) > FEAS_TOL)
+        by_ratio = ~evict.any(axis=1)
+        positive = a > FEAS_TOL
+        ratio = np.divide(rhs, a, out=np.full_like(a, np.inf), where=positive)
+        best = np.minimum(ratio.min(axis=1, keepdims=True), _FLOAT_MAX)
+        tie = ratio == best
+        row = np.where(np.where(by_ratio[:, None], tie, evict), basis, 3 * n).argmin(axis=1)
+        by_ratio &= live
+        # _ratio_row counts ratios within 1e-12 of its running best as ties,
+        # so where one is that close to the minimum without equal to it, its
+        # choice may differ from the exact minimum: replay the scan there
+        near = ~tie & ((ratio - best <= 1e-12) | (ratio - 1e-12 <= best))
+        for k in (by_ratio & near.any(axis=1)).nonzero()[0]:
+            row[k] = _ratio_row(t[k], basis[k], col[k], n)
+        stuck = by_ratio & ~positive.any(axis=1)
+        if np.count_nonzero(stuck):
+            unbounded |= stuck
+            live &= ~stuck
+        # _pivot on every live tableau; the others get zero row factors
+        pivot_row = t[batch, row]
+        np.divide(pivot_row, pivot_row[batch, col][:, None], out=pivot_row, where=live[:, None])
+        t[batch, row] = pivot_row
+        factor = t[batch, :, col]
+        factor[batch, row] = 0.0
+        update = (factor != 0.0) & live[:, None]
+        np.multiply(factor[:, :, None], pivot_row[:, None, :], out=product)
+        np.subtract(t, product, out=t, where=update[:, :, None])
+        moved = live.nonzero()[0]
+        basis[moved, row[moved]] = col[moved]
+        iters += live
+        if np.count_nonzero(iters > caps):
+            raise RuntimeError("simplex stalled")
+
+
+def _solve_batch(mats, n, iteration_cap):
+    """_solve and _certify for unit-cost covering LPs, padded to n rows."""
+    count = len(mats)
+    sizes = np.array([len(a) for a in mats])
+    rows = np.arange(n)
+    real = rows < sizes[:, None]
+    t = np.zeros((count, n + 1, 2 * n + 1))
+    for k, a in enumerate(mats):
+        t[k, : len(a), : len(a)] = a
+    a_pad = t[:, :n, :n].copy()
+    if not (np.isfinite(a_pad).all() and (a_pad >= 0.0).all() and (a_pad[:, rows, rows] > 0.0)[real].all()):
+        raise ValueError("batched covering LP needs a finite nonnegative matrix with a positive diagonal")
+    t[:, rows, n + rows] = np.where(real, -1.0, 0.0)
+    t[:, :n, -1] = real
+    basis = np.tile(2 * n + rows, (count, 1))
+    caps = 10 * (2 * sizes) ** 2 + 100 if iteration_cap is None else np.full(count, iteration_cap)
+    iters = np.zeros(count, dtype=np.int64)
+
+    # phase 1: the artificials' sum, priced out one row at a time as _solve does
+    for i in range(n):
+        t[:, n] -= t[:, i]
+    infeasible = _lockstep(t, basis, np.ones(count, dtype=bool), iters, caps)
+    infeasible |= -t[:, n, -1] > FEAS_TOL * (1.0 + sizes)
+
+    # phase 2: unit cost on each instance's own x columns
+    t[:, n] = 0.0
+    t[:, n, :n] = real
+    for i in range(n):
+        np.subtract(t[:, n], t[:, i], out=t[:, n], where=(basis[:, i] < n)[:, None])
+    unbounded = _lockstep(t, basis, ~infeasible, iters, caps)
+
+    on_x = (basis < n) & real
+    x = np.zeros((count, n))
+    x[on_x.nonzero()[0], basis[on_x]] = t[:, :n, -1][on_x]
+    np.clip(x, 0.0, None, out=x)
+    # duals from the bases, B^T y = c_B: a basic column of [A | -I | I] is a
+    # column of A or a signed unit vector; one stacked solve per LP size
+    from_a = np.take_along_axis(a_pad, np.where(basis < n, basis, 0)[:, None, :], axis=2)
+    unit_row = np.where(basis < 2 * n, basis - n, basis - 2 * n)[:, None, :]
+    unit = np.where(rows[:, None] == unit_row, np.where(basis < 2 * n, -1.0, 1.0)[:, None, :], 0.0)
+    bases = np.where((basis < n)[:, None, :], from_a, unit)
+    cost = (basis < n).astype(np.float64)
+    solved = ~(infeasible | unbounded)
+    y = {}
+    for r in sorted(set(sizes[solved].tolist())):
+        group = np.flatnonzero(solved & (sizes == r))
+        duals = np.linalg.solve(bases[group, :r, :r].transpose(0, 2, 1), cost[group, :r, None])
+        y.update(zip(group, duals[:, :, 0]))
+    out = []
+    for k, a in enumerate(mats):
+        if not solved[k]:
+            out.append(LPSolution(status="infeasible" if infeasible[k] else "unbounded"))
+            continue
+        ones = np.ones(len(a))
+        out.append(_certify("optimal", x[k, : len(a)], y[k], ones, a, ones, notes=""))
+    return out
+
+
+def solve_covering_batch(matrices, iteration_cap: int | None = None) -> list[LPSolution]:
+    """min 1.x subject to A x >= 1, x >= 0, for each matrix A in order.
+
+    Each A must be square, finite and nonnegative with a positive diagonal,
+    which makes every LP feasible and bounded.  Consecutive matrices are
+    solved in lockstep batches of at most BATCH_BYTES of padded tableau, and
+    each solution is bitwise equal to `solve_covering_lp` on (1, A, 1) with
+    the same iteration cap (by default, solve_covering_lp's for each LP).
+    """
+    mats = [np.asarray(a, dtype=np.float64) for a in matrices]
+    for a in mats:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not len(a):
+            raise ValueError(f"batched covering LP needs a nonempty square matrix, got shape {a.shape}")
+    out: list[LPSolution] = []
+    start = 0
+    while start < len(mats):
+        stop, n = start + 1, len(mats[start])
+        while stop < len(mats):
+            wider = max(n, len(mats[stop]))
+            if (stop + 1 - start) * (wider + 1) * (2 * wider + 1) * 8 > BATCH_BYTES:
+                break
+            stop, n = stop + 1, wider
+        out.extend(_solve_batch(mats[start:stop], n, iteration_cap))
+        start = stop
+    return out

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+import flagspectra.hypergraphs as hypergraphs
 from flagspectra import cycle_graph, turan_graph
 from flagspectra.cli import main
 from flagspectra.graphs import format_graph_text, graph_to_json_dict
@@ -142,6 +145,22 @@ class TestSdrAndWidth:
         assert "representatives" in search["detail"]
         comparison = [r for r in records if r["check"] == "width_condition_comparison"][0]
         assert "fractional condition: met" in comparison["detail"]
+
+    def test_sdr_exits_1_when_batched_and_single_lp_disagree(self, capsys, family_json, monkeypatch):
+        solve = hypergraphs.solve_covering_batch
+
+        def perturbed(matrices):
+            solutions = solve(matrices)
+            last = solutions[-1]  # subsets go in |I| order: the full union
+            solutions[-1] = dataclasses.replace(last, value=float(np.nextafter(last.value, np.inf)))
+            return solutions
+
+        monkeypatch.setattr(hypergraphs, "solve_covering_batch", perturbed)
+        code = main(["sdr", "--family", family_json])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "batched LP" in captured.err
 
     def test_width_command(self, capsys, tmp_path):
         path = tmp_path / "h.json"

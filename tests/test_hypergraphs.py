@@ -36,7 +36,12 @@ from flagspectra import (
     width,
 )
 from flagspectra.corpus import family_corpus, planted_sdr_family
-from flagspectra.hypergraphs import family_from_json_dict, fractional_width_lp, hypergraph_from_json_dict
+from flagspectra.hypergraphs import (
+    family_from_json_dict,
+    fractional_width_lp,
+    hypergraph_from_json_dict,
+    union_lp_matrices,
+)
 
 
 def triangle_hypergraph():
@@ -162,6 +167,17 @@ hypergraphs = st.integers(1, 8).flatmap(
 )
 property_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
+# ground <= 6, 1-5 members of 0-4 edges each
+families = st.integers(1, 6).flatmap(
+    lambda ground: st.lists(
+        st.lists(st.sets(st.integers(0, ground - 1), min_size=1), max_size=4).map(
+            lambda edges: Hypergraph(ground, edges)
+        ),
+        min_size=1,
+        max_size=5,
+    ).map(lambda members: HypergraphFamily(ground, members))
+)
+
 
 class TestWidthProperties:
     @property_settings
@@ -175,6 +191,20 @@ class TestWidthProperties:
         masks = h.edge_masks()
         expected = np.array([[(a & b).bit_count() for b in masks] for a in masks], dtype=float)
         assert np.array_equal(fractional_width_lp(h).matrix, expected)
+
+    @property_settings
+    @given(families)
+    def test_union_matrices_are_gram_submatrices(self, fam):
+        masks = range(1, 1 << fam.size)
+        whole = fam.union(range(fam.size))
+        matrices = union_lp_matrices(whole, [h.num_edges for h in fam.members], masks)
+        for mask, matrix in zip(masks, matrices):
+            union = fam.union([i for i in range(fam.size) if mask >> i & 1])
+            if union.num_edges:
+                expected = fractional_width_lp(union).matrix
+                assert np.array_equal(matrix, expected) and matrix.dtype == expected.dtype
+            else:
+                assert matrix.shape == (0, 0)
 
     @property_settings
     @given(hypergraphs)
@@ -234,6 +264,11 @@ class TestFractionalWidthCondition:
         margins = [rec for rec in records if rec.check == "fractional_width_margin"]
         assert len(margins) == 7
         assert all(m.slack == pytest.approx(1.0, abs=1e-7) for m in margins)
+
+    def test_empty_member_rejected(self):
+        fam = HypergraphFamily(2, [Hypergraph(2, [[0]]), Hypergraph(2, [])])
+        with pytest.raises(ValueError, match="empty hypergraph"):
+            verify_fractional_width_condition(fam)
 
     def test_duplicate_singleton_family_borderline(self):
         # the two-member union has fractional width exactly 1 = |I| - 0:

@@ -1,14 +1,35 @@
-"""The covering/packing simplex kernel: hand LPs, duality, and a scipy oracle."""
+"""The covering simplex kernel and its lockstep batch: hand LPs, duality, a
+scipy oracle, and bitwise agreement of the batch with single solves."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from flagspectra import LinearProgram, solve_covering_lp, solve_packing_dual
+import flagspectra.lp as lp_module
+from flagspectra import LinearProgram, solve_covering_lp
+from flagspectra.lp import solve_covering_batch
 
 
 def make(c, a, b):
     return LinearProgram(np.asarray(c, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def packing_optimum(lp):
+    """scipy's optimum of the covering dual: max b.y subject to A^T y <= c, y >= 0."""
+    ref = linprog(-lp.rhs, A_ub=lp.matrix.T, b_ub=lp.objective, bounds=(0, None), method="highs")
+    assert ref.success
+    return -ref.fun
+
+
+def assert_dual_matches_packing(lp, sol, tol=1e-7):
+    """The covering value and the dual y are both optimal for the packing problem."""
+    best = packing_optimum(lp)
+    assert sol.value == pytest.approx(best, abs=tol)
+    assert float(lp.rhs @ sol.y) == pytest.approx(best, abs=tol)
+    assert (sol.y >= -tol).all()
+    assert (lp.matrix.T @ sol.y <= lp.objective + tol).all()
 
 
 class TestCovering:
@@ -42,20 +63,24 @@ class TestCovering:
 
 class TestPacking:
     def test_one_by_one(self):
-        sol = solve_packing_dual(make([1.0], [[1.0]], [1.0]))
+        lp = make([1.0], [[1.0]], [1.0])
+        sol = solve_covering_lp(lp)
         assert sol.value == pytest.approx(1.0, abs=1e-9)
+        assert_dual_matches_packing(lp, sol, tol=1e-9)
 
     def test_unbounded_without_constraints(self):
-        sol = solve_packing_dual(make([1.0], np.zeros((0, 1)), []))
-        assert sol.status == "unbounded"
+        # min -x with no rows is unbounded; its packing dual, which has no
+        # variables, asks 0 <= -1 and is infeasible
+        lp = make([-1.0], np.zeros((0, 1)), [])
+        assert solve_covering_lp(lp).status == "unbounded"
+        assert not (lp.matrix.T @ np.zeros(0) <= lp.objective).all()
 
     def test_matches_covering_on_gram(self):
         gram = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         lp = make([1.0, 1.0, 1.0], gram, [1.0, 1.0, 1.0])
         cover = solve_covering_lp(lp)
-        pack = solve_packing_dual(lp)
-        assert cover.optimal and pack.optimal
-        assert cover.value == pytest.approx(pack.value, abs=1e-7)
+        assert cover.optimal
+        assert_dual_matches_packing(lp, cover)
 
     def test_cycle_gram_both_orientations_give_k(self):
         from flagspectra import cycle_representation
@@ -65,9 +90,9 @@ class TestPacking:
             n = 3 * k
             lp = make(np.ones(n), gram, np.ones(n))
             cover = solve_covering_lp(lp)
-            pack = solve_packing_dual(lp)
             assert cover.value == pytest.approx(float(k), abs=1e-7)
-            assert pack.value == pytest.approx(float(k), abs=1e-7)
+            assert float(lp.rhs @ cover.y) == pytest.approx(float(k), abs=1e-7)
+            assert_dual_matches_packing(lp, cover)
 
 
 class TestDualityAndCertificates:
@@ -96,17 +121,21 @@ class TestDualityAndCertificates:
     def test_strong_duality_on_gram_instances(self):
         for lp in self.gram_instances():
             cover = solve_covering_lp(lp)
-            pack = solve_packing_dual(lp)
-            assert cover.optimal and pack.optimal
-            assert abs(cover.value - pack.value) <= 1e-7 * (1 + abs(cover.value))
+            assert cover.optimal
+            best = packing_optimum(lp)
+            assert abs(cover.value - best) <= 1e-7 * (1 + abs(cover.value))
+            assert abs(float(lp.rhs @ cover.y) - best) <= 1e-7 * (1 + abs(cover.value))
 
     def test_transposed_pair_duality(self):
         # the dual of min c.x st Ax >= b is the packing problem on (b, A^T, c)
         for lp in self.seeded_instances():
             cover = solve_covering_lp(lp)
-            dual = solve_packing_dual(make(lp.rhs, lp.matrix.T, lp.objective))
-            assert cover.optimal and dual.optimal
-            assert abs(cover.value - dual.value) <= 1e-7 * (1 + abs(cover.value))
+            assert cover.optimal
+            best = packing_optimum(lp)
+            assert abs(cover.value - best) <= 1e-7 * (1 + abs(cover.value))
+            assert (cover.y >= -1e-7).all()
+            assert (lp.matrix.T @ cover.y <= lp.objective + 1e-7).all()
+            assert abs(float(lp.rhs @ cover.y) - best) <= 1e-7 * (1 + abs(cover.value))
 
     def test_complementary_slackness(self):
         for lp in self.seeded_instances():
@@ -129,11 +158,126 @@ class TestDualityAndCertificates:
         gram = np.ones((n, n)) + np.eye(n) * 3.0
         lp = make([1.0] * n, gram, [1.0] * n)
         cover = solve_covering_lp(lp)
-        pack = solve_packing_dual(lp)
-        assert cover.value == pytest.approx(pack.value, abs=1e-7)
+        assert_dual_matches_packing(lp, cover)
 
 
 class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             make([1.0, 2.0], [[1.0]], [1.0])
+
+
+def unit_lp(a):
+    a = np.asarray(a, dtype=float)
+    return make(np.ones(len(a)), a, np.ones(len(a)))
+
+
+def assert_bitwise_equal(batched, single):
+    assert batched.status == single.status
+    if single.optimal:
+        assert batched.x.tobytes() == single.x.tobytes()
+        assert batched.y.tobytes() == single.y.tobytes()
+        assert np.float64(batched.value).tobytes() == np.float64(single.value).tobytes()
+
+
+def subset_grams(members):
+    """Intersection matrices of every subfamily union of a family of edge lists."""
+    ground = 1 + max(v for edges in members for e in edges for v in e)
+    out = []
+    for mask in range(1, 1 << len(members)):
+        edges = [e for i, m in enumerate(members) if mask >> i & 1 for e in m]
+        incidence = np.zeros((len(edges), ground))
+        for row, e in enumerate(edges):
+            incidence[row, list(e)] = 1.0
+        out.append(incidence @ incidence.T)
+    return out
+
+
+# families of 1-5 members, each with 1-3 edges of 1-3 vertices out of 6
+families = st.lists(
+    st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=3), min_size=1, max_size=3),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(families)
+    def test_matches_single_solves_bitwise(self, members):
+        grams = subset_grams(members)
+        for a, batched in zip(grams, solve_covering_batch(grams)):
+            assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+
+    def test_matches_single_solves_on_non_integer_matrices(self):
+        rng = np.random.default_rng(66)
+        matrices = []
+        for _ in range(60):
+            r = int(rng.integers(1, 10))
+            a = rng.random((r, r)) * (rng.random((r, r)) < 0.6)
+            a[np.arange(r), np.arange(r)] += rng.random(r) + 0.1
+            matrices.append(a)
+        for a, batched in zip(matrices, solve_covering_batch(matrices)):
+            assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+
+    def test_consecutive_batches_stay_under_the_byte_limit(self, monkeypatch):
+        sizes = []
+        original = lp_module._solve_batch
+
+        def spy(mats, n, cap):
+            sizes.append((len(mats), n))
+            return original(mats, n, cap)
+
+        monkeypatch.setattr(lp_module, "_solve_batch", spy)
+        grams = [np.eye(r) + 1.0 for r in range(1, 40)]
+        solutions = solve_covering_batch(grams)
+        assert sum(count for count, _ in sizes) == len(grams) and len(sizes) > 1
+        assert all(count == 1 or count * (n + 1) * (2 * n + 1) * 8 <= lp_module.BATCH_BYTES for count, n in sizes)
+        for a, batched in zip(grams, solutions):
+            assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+
+    def test_artificial_eviction(self):
+        # after the first pivot a basic artificial sits at zero with a unit
+        # entry in the next entering column; evicting it picks a different
+        # row than the ratio test would, so a wrong branch changes the result
+        a = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [2.0, 2.0, 3.0]]
+        (batched,) = solve_covering_batch([a])
+        assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+
+    def test_near_tie_replays_the_sequential_scan(self, monkeypatch):
+        # column 0 has ratios 1 and 1/(1 + 1e-13): the scan keeps row 0 as a
+        # tie within 1e-12, while the exact minimum is row 1
+        replays = []
+        original = lp_module._ratio_row
+
+        def spy(*args):
+            replays.append(args[2])
+            return original(*args)
+
+        a = [[1.0, 1.0], [1.0 + 1e-13, 1.0]]
+        single = solve_covering_lp(unit_lp(a))
+        monkeypatch.setattr(lp_module, "_ratio_row", spy)
+        (batched,) = solve_covering_batch([a, np.eye(3)])[:1]
+        assert replays
+        assert_bitwise_equal(batched, single)
+
+    def test_iteration_cap_stalls_like_single_solves(self):
+        a = np.array([[2.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
+        outcomes = []
+        for cap in range(8):
+            try:
+                single = solve_covering_lp(unit_lp(a), iteration_cap=cap)
+            except RuntimeError as exc:
+                assert str(exc) == "simplex stalled"
+                with pytest.raises(RuntimeError, match="^simplex stalled$"):
+                    solve_covering_batch([np.eye(2), a], iteration_cap=cap)
+                outcomes.append("stalled")
+                continue
+            assert_bitwise_equal(solve_covering_batch([np.eye(2), a], iteration_cap=cap)[1], single)
+            outcomes.append("solved")
+        assert "stalled" in outcomes and "solved" in outcomes
+
+    @pytest.mark.parametrize("a", [[[1.0, 1.0]], [[0.0]], [[1.0, -1.0], [1.0, 1.0]], [[np.nan]], np.zeros((0, 0))])
+    def test_rejects_matrices_outside_the_form(self, a):
+        with pytest.raises(ValueError):
+            solve_covering_batch([np.eye(2), np.asarray(a, dtype=float)])
