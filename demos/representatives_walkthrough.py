@@ -20,6 +20,7 @@ from flagspectra import (
     find_sdr,
     fractional_width,
     line_graph,
+    sweep_family,
     verify_colorful_condition,
     verify_fractional_width_condition,
     verify_integral_width_condition,
@@ -42,14 +43,15 @@ fam = HypergraphFamily(
         Hypergraph(6, [[4, 5], [5, 0]]),
     ],
 )
-for rec in verify_fractional_width_condition(fam, instance="three chains"):
+sweep = sweep_family(fam)
+for rec in verify_fractional_width_condition(sweep, instance="three chains"):
     if rec.check == "fractional_width_margin":
         print(f"  I={rec.instance.split('I=')[1]:10s} w* = {rec.lhs:.4f}  margin {rec.slack:+.4f}  {rec.detail}")
     else:
         print(f"  => {rec.detail}")
 
 section("The integral-width condition is stronger and fails here")
-for rec in verify_integral_width_condition(fam, instance="three chains"):
+for rec in verify_integral_width_condition(sweep, instance="three chains"):
     if rec.check == "integral_width_margin":
         print(f"  I={rec.instance.split('I=')[1]:10s} w = {rec.lhs:.0f} vs 2|I|-1 = {rec.rhs:.0f}  {rec.detail}")
     else:

@@ -67,6 +67,7 @@ from .hypergraphs import (
     incidence_representation,
     line_graph,
     sdr_search,
+    sweep_family,
     verify_colorful_condition,
     verify_fractional_width_condition,
     verify_integral_width_condition,

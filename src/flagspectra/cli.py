@@ -55,7 +55,7 @@ from .hypergraphs import (
     fractional_width,
     hypergraph_from_json_dict,
     incidence_representation,
-    sdr_search,
+    sweep_family,
     verify_fractional_width_condition,
     verify_integral_width_condition,
     width,
@@ -396,7 +396,8 @@ def cmd_sdr(args) -> list[CheckRecord]:
             raise InputFormatError(f"{args.family}: {exc}") from exc
     label = args.family
     records = [_meta_record(cfg, label)]
-    search = sdr_search(fam, family_cap=cfg.family_cap)
+    sweep = sweep_family(fam, width_cap=cfg.width_cap, family_cap=cfg.family_cap)
+    search = sweep.search
     records.append(
         CheckRecord(
             check="sdr_search",
@@ -410,11 +411,7 @@ def cmd_sdr(args) -> list[CheckRecord]:
             ),
         )
     )
-    records.extend(
-        compare_width_conditions(
-            fam, instance=label, tol=cfg.strict_tol, width_cap=cfg.width_cap, family_cap=cfg.family_cap
-        )
-    )
+    records.extend(compare_width_conditions(sweep, instance=label, tol=cfg.strict_tol))
     return records
 
 
@@ -523,14 +520,9 @@ def cmd_corpus(args) -> list[CheckRecord]:
             records.append(_error_record(label, exc))
     for label, fam in corpus_mod.family_corpus(count=args.families, seed=cfg.seed):
         try:
-            records.extend(
-                verify_fractional_width_condition(fam, instance=label, tol=cfg.strict_tol, family_cap=cfg.family_cap)
-            )
-            records.extend(
-                verify_integral_width_condition(
-                    fam, instance=label, width_cap=cfg.width_cap, family_cap=cfg.family_cap
-                )
-            )
+            sweep = sweep_family(fam, width_cap=cfg.width_cap, family_cap=cfg.family_cap)
+            records.extend(verify_fractional_width_condition(sweep, instance=label, tol=cfg.strict_tol))
+            records.extend(verify_integral_width_condition(sweep, instance=label))
         except (CapExceeded, RuntimeError, ValueError) as exc:
             records.append(_error_record(label, exc))
     records.extend(_summaries(records))

@@ -48,13 +48,12 @@ def _closed_masks(g: Graph) -> list[int]:
     return [g.adjacency_mask(v) | (1 << v) for v in range(g.n)]
 
 
-def _min_cover(masks: Sequence[int], target: int, n: int) -> tuple[int, ...] | None:
-    """Smallest S (by size, then lexicographic) with the union of masks over S
-    covering target; None when even all n vertices fail."""
-    if target == 0:
-        return ()
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
+def smallest_cover(masks: Sequence[int], target: int, candidates: Sequence[int]) -> tuple[int, ...] | None:
+    """Smallest S of candidates (by size, then lexicographic in candidate
+    order) with the union of masks over S covering target; None when even
+    all candidates fail."""
+    for size in range(len(candidates) + 1):
+        for combo in combinations(candidates, size):
             acc = 0
             for v in combo:
                 acc |= masks[v]
@@ -70,7 +69,7 @@ def domination_number(g: Graph, cap: int = EXACT_SEARCH_CAP) -> DominationReport
     if g.n > cap:
         raise CapExceeded(f"exact domination search capped at {cap} vertices (got {g.n})")
     full = (1 << g.n) - 1
-    witness = _min_cover(_closed_masks(g), full, g.n)
+    witness = smallest_cover(_closed_masks(g), full, range(g.n))
     assert witness is not None  # every vertex covers itself
     return DominationReport("domination_number", len(witness), witness)
 
@@ -85,7 +84,7 @@ def total_domination_number(g: Graph, cap: int = EXACT_SEARCH_CAP) -> Domination
         raise ValueError("no totally dominating set exists (isolated vertex)")
     full = (1 << g.n) - 1
     masks = [g.adjacency_mask(v) for v in range(g.n)]
-    witness = _min_cover(masks, full, g.n)
+    witness = smallest_cover(masks, full, range(g.n))
     assert witness is not None  # no isolated vertices, so all n vertices work
     return DominationReport("total_domination_number", len(witness), witness)
 
@@ -134,7 +133,7 @@ def independent_domination_number(g: Graph, cap: int = INDEP_SEARCH_CAP) -> Domi
     best_value = 0
     best_witness = ((), ())
     for ind_mask in _maximal_independent_sets(g):
-        cover = _min_cover(masks, ind_mask, g.n)
+        cover = smallest_cover(masks, ind_mask, range(g.n))
         assert cover is not None  # no isolated vertices
         if len(cover) > best_value:
             best_value = len(cover)

@@ -4,22 +4,22 @@ representatives.
 Widths come in an exact flavor (smallest set of edges meeting every edge,
 by subset search) and a fractional flavor (a covering LP over pairwise
 intersection sizes).  Families of hypergraphs get an exhaustive backtracking
-search for a system of disjoint representatives, and the two sufficient
-conditions for one to exist (fractional width over every subfamily union,
-and the classical integral-width condition) are checked subset by subset.
+search for a system of disjoint representatives.  `sweep_family` analyses a
+family once: both widths of every subfamily union and the search, from which
+the two sufficient conditions for representatives (fractional width over
+every subfamily union, and the classical integral-width condition) are read.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .complexes import DEFAULT_SIMPLEX_CAP, build_flag_complex
-from .domination import VectorRepresentation
+from .domination import VectorRepresentation, smallest_cover
 from .errors import CapExceeded, InputFormatError
 from .graphs import Graph, induced_subgraph
 from .lp import LinearProgram, solve_covering_batch, solve_covering_lp
@@ -150,15 +150,8 @@ def width(h: Hypergraph, cap: int = WIDTH_SEARCH_CAP) -> tuple[int, tuple[int, .
     # meets[j] has bit i set iff edges i and j intersect; intersecting is
     # symmetric, so a combo meets every edge iff the OR of its rows is full
     meets = [sum(1 << i for i, other in enumerate(masks) if mask & other) for mask in masks]
-    full = (1 << m) - 1
-    for t in range(1, m + 1):
-        for combo in combinations(range(m), t):
-            met = 0
-            for j in combo:
-                met |= meets[j]
-            if met == full:
-                return t, combo
-    raise AssertionError("unreachable: the full edge set always covers")
+    combo = smallest_cover(meets, (1 << m) - 1, range(m))
+    return len(combo), combo
 
 
 def _incidence_matrix(h: Hypergraph) -> np.ndarray:
@@ -257,69 +250,98 @@ def _nonempty_subsets(m: int):
         yield mask, [i for i in range(m) if mask >> i & 1]
 
 
-def union_lp_matrices(whole: Hypergraph, block_sizes: Sequence[int], masks: Sequence[int]) -> list[np.ndarray]:
-    """Width-LP matrices of sub-unions of `whole`, one per mask.
+def _one_based(indices) -> tuple[int, ...]:
+    return tuple(i + 1 for i in indices)
 
-    `whole` is a family's full union, its edges in consecutive member blocks
-    of `block_sizes`.  The union of the members a mask selects keeps their
-    blocks in member order, so its intersection matrix is the principal
-    submatrix of whole's on those rows: `fractional_width_lp(fam.union(I))`
-    without building that union.
+
+@dataclass(frozen=True, eq=False)
+class FamilySweep:
+    """The one analysis of a family: w* and w of every subfamily union,
+    indexed by subset mask (entry 0 unused), and the representative search."""
+
+    size: int
+    fractional: tuple[float, ...]
+    integral: tuple[int, ...]
+    search: SdrSearch
+
+
+def sweep_family(
+    fam: HypergraphFamily, width_cap: int = WIDTH_SEARCH_CAP, family_cap: int = SDR_FAMILY_CAP
+) -> FamilySweep:
+    """w* and w of every subfamily union, read from the full union's incidence Gram.
+
+    The union of the members a mask selects keeps their edge blocks in
+    member order, so its Gram is the principal submatrix of the full union's
+    on those rows, and its edges meet where those Gram entries are positive.
+    The LPs are solved in one lockstep batch, smallest subfamilies first.
+    The full union is solved again by `fractional_width` and `width`, as
+    second routes; each must agree exactly with the table.
     """
-    incidence = _incidence_matrix(whole)
-    gram = (incidence @ incidence.T).astype(np.float64)
-    owner = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    out = []
-    for mask in masks:
-        rows = np.flatnonzero(mask >> owner & 1)
-        out.append(gram[rows[:, None], rows])
-    return out
-
-
-def _subfamily_fractional_widths(fam: HypergraphFamily) -> list[float]:
-    """w* of every subfamily union, indexed by subset mask (entry 0 unused).
-
-    The LPs are solved in one lockstep sweep, smallest subfamilies first.
-    The full union is solved again on its own by `fractional_width` as a
-    second route through the simplex; the two values must agree bitwise.
-    """
+    if fam.size > family_cap:
+        raise CapExceeded(f"subset sweep capped at {family_cap} members (got {fam.size})")
     if any(h.num_edges == 0 for h in fam.members):
         raise ValueError("empty hypergraph")
     whole = fam.union(range(fam.size))
+    if whole.num_edges > width_cap:
+        raise CapExceeded(f"width search capped at {width_cap} edges (got {whole.num_edges})")
+    incidence = _incidence_matrix(whole)
+    gram = incidence @ incidence.T
+    # meets[j] has bit i set iff edges i and j of the full union intersect
+    bits = np.packbits(gram > 0, axis=1, bitorder="little")
+    meets = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    owner = np.repeat(np.arange(fam.size), [h.num_edges for h in fam.members])
     full = (1 << fam.size) - 1
-    masks = sorted(range(1, full + 1), key=int.bit_count)
-    matrices = union_lp_matrices(whole, [h.num_edges for h in fam.members], masks)
-    values = [0.0] * (full + 1)
-    for mask, solution in zip(masks, solve_covering_batch(matrices)):
+    rows = [np.flatnonzero(mask >> owner & 1) for mask in range(full + 1)]
+    weights = gram.astype(np.float64)
+    order = sorted(range(1, full + 1), key=int.bit_count)
+    fractional = [0.0] * (full + 1)
+    for mask, solution in zip(order, solve_covering_batch([weights[rows[m][:, None], rows[m]] for m in order])):
         assert solution.optimal  # positive diagonals make large weights feasible
-        values[mask] = solution.value
+        fractional[mask] = solution.value
+    integral = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        edges = rows[mask].tolist()
+        integral[mask] = len(smallest_cover(meets, sum(1 << e for e in edges), edges))
     single = fractional_width(whole)
-    if single != values[full]:
-        raise RuntimeError(f"batched LP gives w* {values[full]!r} on the full union, single LP {single!r}")
-    return values
+    if single != fractional[full]:
+        raise RuntimeError(f"batched LP gives w* {fractional[full]!r} on the full union, single LP {single!r}")
+    direct = width(whole, cap=width_cap)[0]
+    if direct != integral[full]:
+        raise RuntimeError(f"width table gives w {integral[full]} on the full union, direct search {direct}")
+    return FamilySweep(fam.size, tuple(fractional), tuple(integral), sdr_search(fam, family_cap=family_cap))
 
 
-def verify_fractional_width_condition(
-    fam: HypergraphFamily,
-    instance: str = "",
-    tol: float = STRICT_TOL,
-    family_cap: int = SDR_FAMILY_CAP,
-) -> list[CheckRecord]:
+def _subset_widths(sweep: FamilySweep):
+    """(indices, w*, w) of every subfamily union, in subset-mask order."""
+    for mask, indices in _nonempty_subsets(sweep.size):
+        yield indices, sweep.fractional[mask], sweep.integral[mask]
+
+
+def _closing_record(check: str, claim: str, instance: str, search: SdrSearch, violated, slack=None) -> CheckRecord:
+    """A condition's last record: where its hypothesis fails, or else whether
+    the search found the representatives it promises."""
+    if violated is not None:
+        passed, detail = True, f"hypothesis not satisfied at I={_one_based(violated)}"
+    elif search.representatives is not None:
+        passed, detail = True, f"representatives {search.representatives}"
+    else:
+        passed = False
+        detail = f"COUNTEREXAMPLE: no representatives (search hash {search.transcript_hash[:16]})"
+    return CheckRecord(check=check, claim=claim, instance=instance, slack=slack, passed=passed, detail=detail)
+
+
+def verify_fractional_width_condition(sweep: FamilySweep, instance: str = "", tol: float = STRICT_TOL) -> list[CheckRecord]:
     """Fractional width above |I|-1 on every subfamily union forces representatives.
 
     Margins within tol of zero leave the strict hypothesis undecidable from
     floating point, so such families are reported inconclusive rather than
     asserted either way.
     """
-    if fam.size > family_cap:
-        raise CapExceeded(f"subset sweep capped at {family_cap} members (got {fam.size})")
     records = []
     worst_margin = None
     borderline = False
     violated = None
-    values = _subfamily_fractional_widths(fam)
-    for mask, indices in _nonempty_subsets(fam.size):
-        value = values[mask]
+    for indices, value, _ in _subset_widths(sweep):
         margin = value - (len(indices) - 1)
         if worst_margin is None or margin < worst_margin:
             worst_margin = margin
@@ -337,7 +359,7 @@ def verify_fractional_width_condition(
             CheckRecord(
                 check="fractional_width_margin",
                 claim="margin of w*(union of subfamily) against |I| - 1",
-                instance=f"{instance} I={tuple(i + 1 for i in indices)}",
+                instance=f"{instance} I={_one_based(indices)}",
                 k=len(indices),
                 lhs=value,
                 rhs=float(len(indices) - 1),
@@ -346,72 +368,36 @@ def verify_fractional_width_condition(
                 detail=note,
             )
         )
-    if violated is not None or (worst_margin is not None and worst_margin < -tol):
+    claim = "w* margins all positive imply a system of disjoint representatives"
+    if violated is None and borderline:
         records.append(
             CheckRecord(
                 check="fractional_width_sdr",
-                claim="w* margins all positive imply a system of disjoint representatives",
-                instance=instance,
-                slack=worst_margin,
-                passed=True,
-                detail=f"hypothesis not satisfied at I={tuple(i + 1 for i in violated)}",
-            )
-        )
-        return records
-    if borderline:
-        records.append(
-            CheckRecord(
-                check="fractional_width_sdr",
-                claim="w* margins all positive imply a system of disjoint representatives",
+                claim=claim,
                 instance=instance,
                 slack=worst_margin,
                 passed=None,
                 detail="borderline margin within tolerance; strict hypothesis undecided",
             )
         )
-        return records
-    search = sdr_search(fam, family_cap=family_cap)
-    ok = search.representatives is not None
-    records.append(
-        CheckRecord(
-            check="fractional_width_sdr",
-            claim="w* margins all positive imply a system of disjoint representatives",
-            instance=instance,
-            slack=worst_margin,
-            passed=ok,
-            detail=(
-                f"representatives {search.representatives}"
-                if ok
-                else f"COUNTEREXAMPLE: no representatives (search hash {search.transcript_hash[:16]})"
-            ),
-        )
-    )
+    else:
+        records.append(_closing_record("fractional_width_sdr", claim, instance, sweep.search, violated, worst_margin))
     return records
 
 
-def verify_integral_width_condition(
-    fam: HypergraphFamily,
-    instance: str = "",
-    width_cap: int = WIDTH_SEARCH_CAP,
-    family_cap: int = SDR_FAMILY_CAP,
-) -> list[CheckRecord]:
+def verify_integral_width_condition(sweep: FamilySweep, instance: str = "") -> list[CheckRecord]:
     """Integral width at least 2|I|-1 on every subfamily union forces representatives."""
-    if fam.size > family_cap:
-        raise CapExceeded(f"subset sweep capped at {family_cap} members (got {fam.size})")
     records = []
-    holds = True
     violated = None
-    for mask, indices in _nonempty_subsets(fam.size):
-        value, _ = width(fam.union(indices), cap=width_cap)
+    for indices, _, value in _subset_widths(sweep):
         need = 2 * len(indices) - 1
         if value < need and violated is None:
             violated = indices
-            holds = False
         records.append(
             CheckRecord(
                 check="integral_width_margin",
                 claim="margin of w(union of subfamily) against 2|I| - 1",
-                instance=f"{instance} I={tuple(i + 1 for i in indices)}",
+                instance=f"{instance} I={_one_based(indices)}",
                 k=len(indices),
                 lhs=float(value),
                 rhs=float(need),
@@ -420,55 +406,20 @@ def verify_integral_width_condition(
                 detail="hypothesis margin met" if value >= need else "hypothesis not met",
             )
         )
-    if not holds:
-        records.append(
-            CheckRecord(
-                check="integral_width_sdr",
-                claim="w(union) >= 2|I|-1 for all I implies a system of disjoint representatives",
-                instance=instance,
-                passed=True,
-                detail=f"hypothesis not satisfied at I={tuple(i + 1 for i in violated)}",
-            )
-        )
-        return records
-    search = sdr_search(fam, family_cap=family_cap)
-    ok = search.representatives is not None
-    records.append(
-        CheckRecord(
-            check="integral_width_sdr",
-            claim="w(union) >= 2|I|-1 for all I implies a system of disjoint representatives",
-            instance=instance,
-            passed=ok,
-            detail=(
-                f"representatives {search.representatives}"
-                if ok
-                else f"COUNTEREXAMPLE: no representatives (search hash {search.transcript_hash[:16]})"
-            ),
-        )
-    )
+    claim = "w(union) >= 2|I|-1 for all I implies a system of disjoint representatives"
+    records.append(_closing_record("integral_width_sdr", claim, instance, sweep.search, violated))
     return records
 
 
-def compare_width_conditions(
-    fam: HypergraphFamily,
-    instance: str = "",
-    tol: float = STRICT_TOL,
-    width_cap: int = WIDTH_SEARCH_CAP,
-    family_cap: int = SDR_FAMILY_CAP,
-) -> list[CheckRecord]:
+def compare_width_conditions(sweep: FamilySweep, instance: str = "", tol: float = STRICT_TOL) -> list[CheckRecord]:
     """Side-by-side report of the two sufficient conditions on one family."""
-    fractional = verify_fractional_width_condition(fam, instance=instance, tol=tol, family_cap=family_cap)
-    integral = verify_integral_width_condition(
-        fam, instance=instance, width_cap=width_cap, family_cap=family_cap
-    )
-    frac_final = fractional[-1]
-    int_final = integral[-1]
-    frac_holds = "hypothesis not satisfied" not in frac_final.detail and frac_final.passed is not None
-    int_holds = "hypothesis not satisfied" not in int_final.detail
+    records = verify_fractional_width_condition(sweep, instance=instance, tol=tol)
+    records += verify_integral_width_condition(sweep, instance=instance)
+    frac_holds = all(wstar - (len(i) - 1) > tol for i, wstar, _ in _subset_widths(sweep))
+    int_holds = all(w >= 2 * len(i) - 1 for i, _, w in _subset_widths(sweep))
     detail = f"fractional condition: {'met' if frac_holds else 'not met'}; integral condition: {'met' if int_holds else 'not met'}"
     if frac_holds and not int_holds:
         detail += " (separation instance)"
-    records = fractional + integral
     records.append(
         CheckRecord(
             check="width_condition_comparison",
@@ -572,7 +523,7 @@ def verify_colorful_condition(
             CheckRecord(
                 check="colorful_connectivity_margin",
                 claim="margin of eta(induced subcomplex on class union) against |I|",
-                instance=f"{instance} I={tuple(i + 1 for i in indices)}",
+                instance=f"{instance} I={_one_based(indices)}",
                 k=len(indices),
                 lhs=float(eta.floor),
                 rhs=float(len(indices)),

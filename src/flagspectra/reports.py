@@ -52,35 +52,29 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _row(record: CheckRecord) -> tuple:
+    """The record's values in _FIELDS order."""
+    return (record.check, record.claim, record.instance, record.k, record.lhs, record.rhs, record.slack, record.passed, record.detail)
+
+
+_JSON_KEYS = tuple(json.dumps(name) + ": " for name in _FIELDS)
+
+
 def _json_value(value) -> str:
     if value is None:
         return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         text = format_float(value)
-        if text in ("nan", "inf", "-inf"):
-            return json.dumps(text)
-        return text
-    return json.dumps(value)
+        return f'"{text}"' if text in ("nan", "inf", "-inf") else text
+    return str(value)
 
 
 def record_to_json(record: CheckRecord) -> str:
-    values = {
-        "check": record.check,
-        "claim": record.claim,
-        "instance": record.instance,
-        "k": record.k,
-        "lhs": record.lhs,
-        "rhs": record.rhs,
-        "slack": record.slack,
-        "pass": record.passed,
-        "detail": record.detail,
-    }
-    parts = [f"{json.dumps(name)}: {_json_value(values[name])}" for name in _FIELDS]
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(key + _json_value(value) for key, value in zip(_JSON_KEYS, _row(record))) + "}"
 
 
 def _csv_cell(value) -> str:
@@ -99,8 +93,7 @@ def _csv_cell(value) -> str:
 def records_to_csv(records) -> str:
     lines = [",".join(_FIELDS)]
     for rec in records:
-        row = (rec.check, rec.claim, rec.instance, rec.k, rec.lhs, rec.rhs, rec.slack, rec.passed, rec.detail)
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(_csv_cell(v) for v in _row(rec)))
     return "\n".join(lines) + "\n"
 
 

@@ -32,6 +32,7 @@ from flagspectra import (
     laplacian_matrix,
     representation_value,
     spectral_gap,
+    sweep_family,
     symmetric_eigenvalues,
     turan_graph,
     verify_fractional_width_condition,
@@ -212,7 +213,7 @@ def test_criterion_9_fractional_width_condition():
         start = time.monotonic()
         asserted = 0
         for label, fam in family_corpus(count=100, seed=42):
-            records = verify_fractional_width_condition(fam, instance=label, tol=1e-7)
+            records = verify_fractional_width_condition(sweep_family(fam), instance=label, tol=1e-7)
             final = records[-1]
             assert final.passed is not False, (label, final.detail)
             if final.passed is True and "representatives" in final.detail:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 import flagspectra.hypergraphs as hypergraphs
 from flagspectra import cycle_graph, turan_graph
 from flagspectra.cli import main
+from flagspectra.corpus import family_corpus
 from flagspectra.graphs import format_graph_text, graph_to_json_dict
 
 
@@ -162,6 +164,54 @@ class TestSdrAndWidth:
         assert captured.out == ""
         assert "batched LP" in captured.err
 
+    def test_sdr_runs_one_representative_search(self, capsys, tmp_path, monkeypatch):
+        # one member, one edge: both width hypotheses hold, so each condition
+        # closes on the search result as well as the listing record
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"ground": 2, "hypergraphs": [[[0, 1]]]}))
+        calls = []
+        search = hypergraphs.sdr_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(hypergraphs, "sdr_search", counted)
+        code, out = run_cli(["sdr", "--family", str(path)], capsys)
+        assert code == 0
+        finals = [r for r in parse_records(out) if r["check"].endswith("_width_sdr")]
+        assert [r["detail"] for r in finals] == ["representatives ((0, 1),)"] * 2
+        assert len(calls) == 1
+
+    def test_sdr_exits_1_when_width_table_and_search_disagree(self, capsys, family_json, monkeypatch):
+        cover = hypergraphs.smallest_cover
+
+        def lengthened(masks, target, candidates):
+            combo = cover(masks, target, candidates)
+            # the table passes lists of edge indices, `width` passes a range
+            if target == (1 << len(masks)) - 1 and isinstance(candidates, list):
+                return combo + combo[:1]
+            return combo
+
+        monkeypatch.setattr(hypergraphs, "smallest_cover", lengthened)
+        code = main(["sdr", "--family", family_json])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "width table gives w 4 on the full union, direct search 3" in captured.err
+
+    def test_sdr_width_cap_names_the_full_union(self, capsys, family_json):
+        assert main(["sdr", "--family", family_json, "--width-cap", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cap exceeded: width search capped at 2 edges (got 3)\n"
+
+    def test_sdr_family_cap_message(self, capsys, family_json):
+        assert main(["sdr", "--family", family_json, "--family-cap", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cap exceeded: subset sweep capped at 2 members (got 3)\n"
+
     def test_width_command(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"ground": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
@@ -196,6 +246,32 @@ class TestCorpus:
         assert summaries
         assert all(r["pass"] for r in summaries)
         assert not any(r["check"] == "error" for r in records)
+
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            (["--width-cap", "6"], r"CapExceeded: width search capped at 6 edges \(got (\d+)\)"),
+            (["--family-cap", "2"], r"CapExceeded: subset sweep capped at 2 members \(got (\d+)\)"),
+        ],
+        ids=["width-cap", "family-cap"],
+    )
+    def test_capped_family_gets_only_its_error_record(self, cap, message, capsys):
+        code, out = run_cli(["corpus", "--graphs", "0", "--families", "30", *cap], capsys)
+        assert code == 1
+        records = parse_records(out)
+        errors = {r["instance"]: r["detail"] for r in records if r["check"] == "error"}
+        assert errors
+        capped = 0
+        for label, fam in family_corpus(count=30, seed=42):
+            rows = [r for r in records if r["instance"] == label or r["instance"].startswith(label + " ")]
+            size = fam.union(range(fam.size)).num_edges if "width" in message else fam.size
+            if label in errors:
+                capped += 1
+                assert [r["check"] for r in rows] == ["error"]
+                assert int(re.fullmatch(message, errors[label]).group(1)) == size
+            else:
+                assert size <= int(cap[1]) and rows
+        assert capped == len(errors)
 
     def test_nmax_below_every_random_size(self, capsys):
         assert main(["corpus", "--nmax", "3", "--graphs", "2", "--families", "1"]) == 2

@@ -30,6 +30,7 @@ from flagspectra import (
     line_graph,
     representation_value,
     sdr_search,
+    sweep_family,
     verify_colorful_condition,
     verify_fractional_width_condition,
     verify_integral_width_condition,
@@ -40,7 +41,6 @@ from flagspectra.hypergraphs import (
     family_from_json_dict,
     fractional_width_lp,
     hypergraph_from_json_dict,
-    union_lp_matrices,
 )
 
 
@@ -194,17 +194,17 @@ class TestWidthProperties:
 
     @property_settings
     @given(families)
-    def test_union_matrices_are_gram_submatrices(self, fam):
-        masks = range(1, 1 << fam.size)
-        whole = fam.union(range(fam.size))
-        matrices = union_lp_matrices(whole, [h.num_edges for h in fam.members], masks)
-        for mask, matrix in zip(masks, matrices):
+    def test_sweep_matches_per_union_widths(self, fam):
+        if any(h.num_edges == 0 for h in fam.members):
+            with pytest.raises(ValueError, match="empty hypergraph"):
+                sweep_family(fam)
+            return
+        sweep = sweep_family(fam)
+        for mask in range(1, 1 << fam.size):
             union = fam.union([i for i in range(fam.size) if mask >> i & 1])
-            if union.num_edges:
-                expected = fractional_width_lp(union).matrix
-                assert np.array_equal(matrix, expected) and matrix.dtype == expected.dtype
-            else:
-                assert matrix.shape == (0, 0)
+            assert sweep.integral[mask] == width(union)[0]
+            assert sweep.fractional[mask] == fractional_width(union)
+        assert sweep.search == sdr_search(fam)
 
     @property_settings
     @given(hypergraphs)
@@ -256,7 +256,7 @@ class TestSdrSearch:
 class TestFractionalWidthCondition:
     def test_disjoint_singletons_hypothesis_holds(self):
         fam = HypergraphFamily(3, [Hypergraph(3, [[0]]), Hypergraph(3, [[1]]), Hypergraph(3, [[2]])])
-        records = verify_fractional_width_condition(fam, instance="disjoint")
+        records = verify_fractional_width_condition(sweep_family(fam), instance="disjoint")
         final = records[-1]
         assert final.check == "fractional_width_sdr"
         assert final.passed is True
@@ -268,13 +268,13 @@ class TestFractionalWidthCondition:
     def test_empty_member_rejected(self):
         fam = HypergraphFamily(2, [Hypergraph(2, [[0]]), Hypergraph(2, [])])
         with pytest.raises(ValueError, match="empty hypergraph"):
-            verify_fractional_width_condition(fam)
+            sweep_family(fam)
 
     def test_duplicate_singleton_family_borderline(self):
         # the two-member union has fractional width exactly 1 = |I| - 0:
         # margin 0 sits inside the strictness tolerance, so no assertion
         fam = HypergraphFamily(1, [Hypergraph(1, [[0]]), Hypergraph(1, [[0]])])
-        records = verify_fractional_width_condition(fam, instance="dup")
+        records = verify_fractional_width_condition(sweep_family(fam), instance="dup")
         final = records[-1]
         assert final.passed is None
         assert find_sdr(fam) is None
@@ -283,21 +283,21 @@ class TestFractionalWidthCondition:
         # three members sharing one ground vertex: the full union has
         # fractional width 1 < 2, a clear hypothesis failure
         fam = HypergraphFamily(1, [Hypergraph(1, [[0]])] * 3)
-        records = verify_fractional_width_condition(fam, instance="triple")
+        records = verify_fractional_width_condition(sweep_family(fam), instance="triple")
         final = records[-1]
         assert final.passed is True
         assert "hypothesis not satisfied" in final.detail
 
     def test_corpus_no_counterexamples(self):
         for label, fam in family_corpus(count=40, seed=21):
-            records = verify_fractional_width_condition(fam, instance=label)
+            records = verify_fractional_width_condition(sweep_family(fam), instance=label)
             assert records[-1].passed is not False, label
 
 
 class TestIntegralWidthCondition:
     def test_single_member_single_edge(self):
         fam = HypergraphFamily(2, [Hypergraph(2, [[0, 1]])])
-        records = verify_integral_width_condition(fam, instance="one")
+        records = verify_integral_width_condition(sweep_family(fam), instance="one")
         final = records[-1]
         assert final.passed is True
         assert "representatives" in final.detail
@@ -306,7 +306,7 @@ class TestIntegralWidthCondition:
         # disjoint singletons: integral width of a union is |I| < 2|I| - 1
         # for |I| >= 2, while the fractional margins all exceed zero
         fam = HypergraphFamily(3, [Hypergraph(3, [[0]]), Hypergraph(3, [[1]]), Hypergraph(3, [[2]])])
-        records = compare_width_conditions(fam, instance="sep")
+        records = compare_width_conditions(sweep_family(fam), instance="sep")
         comparison = records[-1]
         assert comparison.check == "width_condition_comparison"
         assert "separation instance" in comparison.detail
@@ -315,7 +315,7 @@ class TestIntegralWidthCondition:
 
     def test_corpus_no_counterexamples(self):
         for label, fam in family_corpus(count=40, seed=23):
-            records = verify_integral_width_condition(fam, instance=label)
+            records = verify_integral_width_condition(sweep_family(fam), instance=label)
             assert records[-1].passed is not False, label
 
 
