@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InputFormatError
-from .graphs import Graph, cycle_graph
+from .graphs import Graph, _bits, cycle_graph
 from .lp import LinearProgram, solve_covering_lp
 from .reports import CheckRecord
 from .spectral import Connectivity
@@ -90,25 +90,28 @@ def total_domination_number(g: Graph, cap: int = EXACT_SEARCH_CAP) -> Domination
 
 
 def _maximal_independent_sets(g: Graph) -> list[int]:
-    """Bitmasks of all inclusion-maximal independent sets (n is capped upstream)."""
+    """Bitmasks of all inclusion-maximal independent sets, in ascending order.
+
+    They are the maximal cliques of the complement, listed by Bron-Kerbosch
+    with Tomita's pivot, so the work follows the number of sets, not 2^n.
+    """
+    everything = (1 << g.n) - 1
+    apart = [everything & ~g.adjacency_mask(v) & ~(1 << v) for v in range(g.n)]
     out = []
-    for mask in range(1, 1 << g.n):
-        ok = True
-        for v in range(g.n):
-            if mask >> v & 1 and g.adjacency_mask(v) & mask:
-                ok = False
-                break
-        if not ok:
-            continue
-        # maximal: every outside vertex sees the set
-        maximal = True
-        for v in range(g.n):
-            if not mask >> v & 1 and not g.adjacency_mask(v) & mask:
-                maximal = False
-                break
-        if maximal:
-            out.append(mask)
-    return out
+
+    def extend(chosen, candidates, excluded):
+        if not candidates | excluded:
+            out.append(chosen)
+            return
+        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & apart[u]).bit_count())
+        for v in _bits(candidates & ~apart[pivot]):
+            extend(chosen | 1 << v, candidates & apart[v], excluded & apart[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+
+    if g.n:
+        extend(0, everything, 0)
+    return sorted(out)
 
 
 def independent_domination_number(g: Graph, cap: int = INDEP_SEARCH_CAP) -> DominationReport:

@@ -12,7 +12,10 @@ right-hand side, square nonnegative matrix with a positive diagonal).  Too
 small to gain from vectorizing one tableau, they are solved together:
 `solve_covering_batch` runs the same pivots on a stack of padded tableaus
 in lockstep, one numpy operation per step for the whole stack, and returns
-the same solutions bit for bit.
+the same solutions bit for bit.  Once at most half of a stack still pivots,
+the finished tableaus are dropped from it, so a batch pays only for its
+running LPs, and the certificates of a whole batch are checked in one
+stacked pass with the single-LP formulas and tolerances.
 """
 
 from __future__ import annotations
@@ -69,10 +72,12 @@ class LPSolution:
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """One rank-1 update, which leaves every row with a zero in col untouched
+    (signed zeros included), as a row-by-row elimination would."""
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    np.subtract(tab, np.multiply.outer(factor, tab[row]), out=tab, where=(factor != 0.0)[:, None])
     basis[row] = col
 
 
@@ -223,11 +228,15 @@ def _certify(status, x, y, c, a, b, notes):
     gap = abs(value - float(b @ y)) if len(b) else abs(value)
     gap_ok = gap <= GAP_TOL * (1.0 + abs(value))
     if not (primal_ok and dual_ok and sign_ok and gap_ok):
-        raise RuntimeError(
-            "LP certificate check failed "
-            f"(primal {primal_ok}, dual {dual_ok}, signs {sign_ok}, gap {gap:.3e})"
-        )
+        raise _certificate_error(primal_ok, dual_ok, sign_ok, gap)
     return LPSolution(status="optimal", x=x, y=y, value=value, notes=notes)
+
+
+def _certificate_error(primal_ok, dual_ok, sign_ok, gap):
+    return RuntimeError(
+        "LP certificate check failed "
+        f"(primal {bool(primal_ok)}, dual {bool(dual_ok)}, signs {bool(sign_ok)}, gap {gap:.3e})"
+    )
 
 
 def _drop_zero_rows(a, b):
@@ -280,54 +289,75 @@ def _lockstep(t, basis, live, iters, caps):
     columns are left out, since they never re-enter.  basis holds padded
     column indices (an artificial at 2n + its row), which order columns as
     the unpadded indices do.  Padding rows and columns stay zero and never
-    pivot.  Returns the mask of instances found unbounded.
+    pivot.
+
+    Finished instances cost nothing: once at most half of the stack is live,
+    the live tableaus are gathered with their basis, iteration counts and
+    caps into a smaller stack, which is written back when it shrinks again
+    and when the loop ends.  Each instance goes through the same elementwise
+    operations in any stack.  Returns the mask of instances found unbounded.
     """
     n = basis.shape[1]
-    batch = np.arange(len(t))
-    objective = t[:, n, : 2 * n]
-    rhs = t[:, :n, -1]
     unbounded = np.zeros(len(t), dtype=bool)
+    home = np.arange(len(t))  # the stacked instances' positions in t
+    stack = t, basis, iters, caps
     product = np.empty_like(t)
     while True:
-        negative = objective < -FEAS_TOL
+        negative = stack[0][:, n, : 2 * n] < -FEAS_TOL
         live &= negative.any(axis=1)
-        if not np.count_nonzero(live):
-            return unbounded
-        col = negative.argmax(axis=1)
-        a = t[batch, :n, col]
-        # prefer evicting a zero-valued basic artificial touched by the column
-        evict = (basis >= 2 * n) & (rhs <= FEAS_TOL) & (np.abs(a) > FEAS_TOL)
-        by_ratio = ~evict.any(axis=1)
-        positive = a > FEAS_TOL
-        ratio = np.divide(rhs, a, out=np.full_like(a, np.inf), where=positive)
-        best = np.minimum(ratio.min(axis=1, keepdims=True), _FLOAT_MAX)
-        tie = ratio == best
-        row = np.where(np.where(by_ratio[:, None], tie, evict), basis, 3 * n).argmin(axis=1)
-        by_ratio &= live
-        # _ratio_row counts ratios within 1e-12 of its running best as ties,
-        # so where one is that close to the minimum without equal to it, its
-        # choice may differ from the exact minimum: replay the scan there
-        near = ~tie & ((ratio - best <= 1e-12) | (ratio - 1e-12 <= best))
-        for k in (by_ratio & near.any(axis=1)).nonzero()[0]:
-            row[k] = _ratio_row(t[k], basis[k], col[k], n)
-        stuck = by_ratio & ~positive.any(axis=1)
-        if np.count_nonzero(stuck):
-            unbounded |= stuck
-            live &= ~stuck
-        # _pivot on every live tableau; the others get zero row factors
-        pivot_row = t[batch, row]
-        np.divide(pivot_row, pivot_row[batch, col][:, None], out=pivot_row, where=live[:, None])
-        t[batch, row] = pivot_row
-        factor = t[batch, :, col]
-        factor[batch, row] = 0.0
-        update = (factor != 0.0) & live[:, None]
-        np.multiply(factor[:, :, None], pivot_row[:, None, :], out=product)
-        np.subtract(t, product, out=t, where=update[:, :, None])
-        moved = live.nonzero()[0]
-        basis[moved, row[moved]] = col[moved]
-        iters += live
-        if np.count_nonzero(iters > caps):
-            raise RuntimeError("simplex stalled")
+        count = np.count_nonzero(live)
+        if 2 * count <= len(live):
+            if stack[0] is not t:
+                t[home], basis[home], iters[home] = stack[:3]
+            if not count:
+                return unbounded
+            home, negative, live = home[live], negative[live], live[live]
+            stack = t[home], basis[home], iters[home], caps[home]
+            product = np.empty_like(stack[0])
+        stuck = _step(*stack, live, negative.argmax(axis=1), product)
+        unbounded[home[stuck]] = True
+
+
+def _step(t, basis, iters, caps, live, col, product):
+    """One `_run` pivot on every live tableau of a `_lockstep` stack, with
+    entering column col; product is scratch of t's shape.  Marks the
+    instances that col leaves unbounded as finished and returns their mask."""
+    n = basis.shape[1]
+    batch = np.arange(len(t))
+    rhs = t[:, :n, -1]
+    a = t[batch, :n, col]
+    # prefer evicting a zero-valued basic artificial touched by the column
+    evict = (basis >= 2 * n) & (rhs <= FEAS_TOL) & (np.abs(a) > FEAS_TOL)
+    by_ratio = ~evict.any(axis=1)
+    positive = a > FEAS_TOL
+    ratio = np.divide(rhs, a, out=np.full_like(a, np.inf), where=positive)
+    best = np.minimum(ratio.min(axis=1, keepdims=True), _FLOAT_MAX)
+    tie = ratio == best
+    row = np.where(np.where(by_ratio[:, None], tie, evict), basis, 3 * n).argmin(axis=1)
+    by_ratio &= live
+    # _ratio_row counts ratios within 1e-12 of its running best as ties,
+    # so where one is that close to the minimum without equal to it, its
+    # choice may differ from the exact minimum: replay the scan there
+    near = ~tie & ((ratio - best <= 1e-12) | (ratio - 1e-12 <= best))
+    for k in (by_ratio & near.any(axis=1)).nonzero()[0]:
+        row[k] = _ratio_row(t[k], basis[k], col[k], n)
+    stuck = by_ratio & ~positive.any(axis=1)
+    live &= ~stuck
+    # _pivot on every live tableau; the others get zero row factors
+    pivot_row = t[batch, row]
+    np.divide(pivot_row, pivot_row[batch, col][:, None], out=pivot_row, where=live[:, None])
+    t[batch, row] = pivot_row
+    factor = t[batch, :, col]
+    factor[batch, row] = 0.0
+    update = (factor != 0.0) & live[:, None]
+    np.multiply(factor[:, :, None], pivot_row[:, None, :], out=product)
+    np.subtract(t, product, out=t, where=update[:, :, None])
+    moved = live.nonzero()[0]
+    basis[moved, row[moved]] = col[moved]
+    iters += live
+    if np.count_nonzero(iters > caps):
+        raise RuntimeError("simplex stalled")
+    return stuck
 
 
 def _solve_batch(mats, n, iteration_cap):
@@ -373,18 +403,33 @@ def _solve_batch(mats, n, iteration_cap):
     bases = np.where((basis < n)[:, None, :], from_a, unit)
     cost = (basis < n).astype(np.float64)
     solved = ~(infeasible | unbounded)
-    y = {}
+    y = np.zeros((count, n))
     for r in sorted(set(sizes[solved].tolist())):
         group = np.flatnonzero(solved & (sizes == r))
-        duals = np.linalg.solve(bases[group, :r, :r].transpose(0, 2, 1), cost[group, :r, None])
-        y.update(zip(group, duals[:, :, 0]))
+        y[group, :r] = np.linalg.solve(bases[group, :r, :r].transpose(0, 2, 1), cost[group, :r, None])[:, :, 0]
+
+    # _certify on the whole stack, with c = b = 1 on each instance's own
+    # rows and columns; the value is still c.x on the instance's own x
+    ones = np.ones(n)
+    value = [float(ones[:r] @ x[k, :r]) for k, r in enumerate(sizes.tolist())]
+    b = real.astype(np.float64)
+    residual = (a_pad @ x[:, :, None])[:, :, 0] - b
+    primal_ok = ((residual >= -CERT_TOL * (1.0 + np.abs(b))) | ~real).all(axis=1)
+    dual_res = b - (y[:, None, :] @ a_pad)[:, 0, :]
+    dual_ok = ((dual_res >= -CERT_TOL * (1.0 + np.abs(b))) | ~real).all(axis=1)
+    sign_ok = (((x >= -CERT_TOL) & (y >= -CERT_TOL)) | ~real).all(axis=1)
+    gap = np.abs(np.array(value) - (b * y).sum(axis=1))
+    gap_ok = gap <= GAP_TOL * (1.0 + np.abs(value))
+    failed = np.flatnonzero(solved & ~(primal_ok & dual_ok & sign_ok & gap_ok))
+    if len(failed):
+        k = failed[0]
+        raise _certificate_error(primal_ok[k], dual_ok[k], sign_ok[k], gap[k])
     out = []
-    for k, a in enumerate(mats):
-        if not solved[k]:
+    for k, r in enumerate(sizes.tolist()):
+        if solved[k]:
+            out.append(LPSolution(status="optimal", x=x[k, :r], y=y[k, :r], value=value[k]))
+        else:
             out.append(LPSolution(status="infeasible" if infeasible[k] else "unbounded"))
-            continue
-        ones = np.ones(len(a))
-        out.append(_certify("optimal", x[k, : len(a)], y[k], ones, a, ones, notes=""))
     return out
 
 

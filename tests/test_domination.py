@@ -8,8 +8,11 @@ the 3-star.  LP values come with independently checked feasible points
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspectra import (
     CapExceeded,
@@ -33,7 +36,13 @@ from flagspectra import (
     verify_representation_connectivity_bound,
     verify_spectral_connectivity_bound,
 )
-from flagspectra.domination import representation_from_json_dict, strong_domination_lp
+from flagspectra.domination import _maximal_independent_sets, representation_from_json_dict, strong_domination_lp
+
+
+# a vertex count of 1-12 and a set of vertex pairs, loops included
+vertex_pairs = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+)
 
 
 def star(leaves):
@@ -104,6 +113,17 @@ class TestExactParameters:
         for v in cover:
             reached.update(g.neighbors(v))
         assert set(ind) <= reached
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(vertex_pairs)
+    def test_maximal_independent_sets_are_the_complements_cliques(self, graph):
+        n, pairs = graph
+        g = Graph(n, [(u, v) for u, v in pairs if u != v])
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(n))
+        oracle.add_edges_from(g.edges)
+        cliques = nx.find_cliques(nx.complement(oracle))
+        assert _maximal_independent_sets(g) == sorted(sum(1 << v for v in clique) for clique in cliques)
 
     def test_caps_enforced(self):
         with pytest.raises(CapExceeded):

@@ -1,10 +1,12 @@
 """The covering simplex kernel and its lockstep batch: hand LPs, duality, a
-scipy oracle, and bitwise agreement of the batch with single solves."""
+scipy oracle, the rank-1 pivot against row-by-row elimination, and bitwise
+agreement of the batch with single solves, compacted stacks included."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 import flagspectra.lp as lp_module
@@ -161,6 +163,40 @@ class TestDualityAndCertificates:
         assert_dual_matches_packing(lp, cover)
 
 
+def loop_pivot(tab, basis, row, col):
+    """The row-by-row elimination the rank-1 `_pivot` replaced."""
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and tab[i, col] != 0.0:
+            tab[i] -= tab[i, col] * tab[row]
+    basis[row] = col
+
+
+# tableaus with many exact and signed zeros among finite entries
+tableaus = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(
+        np.float64,
+        shape,
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-8.0, 8.0, allow_subnormal=False),
+    )
+)
+
+
+class TestPivot:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tableaus, st.data())
+    def test_rank_one_update_matches_row_elimination(self, tab, data):
+        row = data.draw(st.integers(0, tab.shape[0] - 1))
+        col = data.draw(st.integers(0, tab.shape[1] - 1))
+        assume(abs(tab[row, col]) > 1e-3)
+        expected, expected_basis = tab.copy(), list(range(tab.shape[0]))
+        loop_pivot(expected, expected_basis, row, col)
+        basis = list(range(tab.shape[0]))
+        lp_module._pivot(tab, basis, row, col)
+        assert tab.tobytes() == expected.tobytes()
+        assert basis == expected_basis
+
+
 class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -276,6 +312,61 @@ class TestBatch:
             assert_bitwise_equal(solve_covering_batch([np.eye(2), a], iteration_cap=cap)[1], single)
             outcomes.append("solved")
         assert "stalled" in outcomes and "solved" in outcomes
+
+    @staticmethod
+    def short_and_long(rng):
+        """Fifteen 1x1 LPs, done after one pivot, and a 9x9 one that takes many."""
+        r = 9
+        a = rng.random((r, r)) * (rng.random((r, r)) < 0.6)
+        a[np.arange(r), np.arange(r)] += rng.random(r) + 0.1
+        return [np.eye(1) * (k + 1) for k in range(15)] + [a]
+
+    @staticmethod
+    def spy_on_steps(monkeypatch):
+        """Stack sizes of every lockstep pivot, in order."""
+        sizes = []
+        original = lp_module._step
+
+        def spy(t, *args):
+            sizes.append(len(t))
+            return original(t, *args)
+
+        monkeypatch.setattr(lp_module, "_step", spy)
+        return sizes
+
+    def test_compacted_stack_matches_single_solves(self, monkeypatch):
+        matrices = self.short_and_long(np.random.default_rng(67))
+        sizes = self.spy_on_steps(monkeypatch)
+        solutions = solve_covering_batch(matrices)
+        assert sizes[0] == len(matrices) and sizes[-1] == 1 and sizes.count(1) > 5
+        for a, batched in zip(matrices, solutions):
+            assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+
+    def test_compacted_instance_stalls_at_its_cap(self, monkeypatch):
+        matrices = self.short_and_long(np.random.default_rng(67))
+        with pytest.raises(RuntimeError, match="^simplex stalled$"):
+            solve_covering_lp(unit_lp(matrices[-1]), iteration_cap=5)
+        sizes = self.spy_on_steps(monkeypatch)
+        with pytest.raises(RuntimeError, match="^simplex stalled$"):
+            solve_covering_batch(matrices, iteration_cap=5)
+        assert sizes == [len(matrices)] + [1] * 5
+
+    def test_corrupted_dual_fails_the_stacked_certificate(self, monkeypatch):
+        # raise one dual entry of the third LP by 1: A^T y <= 1 breaks in
+        # column 0 and b.y leaves c.x by 1, while the other LPs stay sound
+        matrices = [np.eye(2) + 1.0, np.eye(3), np.eye(2) * 2.0 + 1.0, np.eye(1)]
+        original = np.linalg.solve
+
+        def corrupt(a, b):
+            y = original(a, b)
+            if len(y) == 2:  # the stacked solve of the two 2x2 LPs
+                y[1, 0, 0] += 1.0
+            return y
+
+        monkeypatch.setattr(np.linalg, "solve", corrupt)
+        message = r"^LP certificate check failed \(primal True, dual False, signs True, gap 1\.000e\+00\)$"
+        with pytest.raises(RuntimeError, match=message):
+            solve_covering_batch(matrices)
 
     @pytest.mark.parametrize("a", [[[1.0, 1.0]], [[0.0]], [[1.0, -1.0], [1.0, 1.0]], [[np.nan]], np.zeros((0, 0))])
     def test_rejects_matrices_outside_the_form(self, a):
