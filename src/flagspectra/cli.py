@@ -10,7 +10,9 @@ byte-identical files.  Exit codes: 0 all checks passed, 1 some check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -94,18 +96,54 @@ class RunConfig:
         )
 
 
+# The options whose defaults come from the environment: (option, variable,
+# default when both are unset).  They are read per request, not baked into
+# the shared parser.
+_ENV_OPTIONS = (
+    ("max_dim", "FLAGSPECTRA_MAX_DIM", None),
+    ("simplex_cap", "FLAGSPECTRA_SIMPLEX_CAP", DEFAULT_SIMPLEX_CAP),
+    ("exact_cap", "FLAGSPECTRA_EXACT_CAP", EXACT_SEARCH_CAP),
+    ("indep_cap", "FLAGSPECTRA_INDEP_CAP", INDEP_SEARCH_CAP),
+    ("width_cap", "FLAGSPECTRA_WIDTH_CAP", WIDTH_SEARCH_CAP),
+    ("family_cap", "FLAGSPECTRA_FAMILY_CAP", SDR_FAMILY_CAP),
+)
+
+
 def _env_int(name: str, default: int | None) -> int | None:
-    """Integer from the environment; unset or empty means `default`."""
+    """Integer in plain decimal digits from the environment; unset or empty means `default`."""
     raw = os.environ.get(name)
     if not raw:
         return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputFormatError(f"environment variable {name} must be an integer, got {raw!r}")
+    if not (raw.isascii() and raw.isdigit()):
+        raise InputFormatError(
+            f"environment variable {name} must be a nonnegative integer in decimal digits, got {raw!r}"
+        )
+    return int(raw)
 
 
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _resolve_options(args, env: dict) -> None:
+    """Fill the env-backed options the command line left unset, then reject
+    negative counts and caps and tolerances that are negative or not finite."""
+    for dest, value in env.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    for dest in (*env, "graphs", "families"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise InputFormatError(f"{_option(dest)} must be nonnegative, got {value}")
+    for dest in ("recursion_tol", "strict_tol"):
+        value = getattr(args, dest)
+        if not (math.isfinite(value) and value >= 0):
+            raise InputFormatError(f"{_option(dest)} must be finite and nonnegative, got {value!r}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; it holds no environment value."""
     parser = argparse.ArgumentParser(
         prog="flagspectra",
         description="Spectra of clique complexes, domination parameters, and "
@@ -115,41 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=42, help="master seed, recorded in the output")
+        p.add_argument("--max-dim", type=int, help="dimension cap for complexes")
+        p.add_argument("--simplex-cap", type=int, help="per-dimension simplex count cap")
+        p.add_argument("--exact-cap", type=int, help="vertex cap for exact domination searches")
+        p.add_argument("--indep-cap", type=int, help="vertex cap for the independent domination search")
+        p.add_argument("--width-cap", type=int, help="edge cap for exact width searches")
         p.add_argument(
-            "--max-dim",
-            type=int,
-            default=_env_int("FLAGSPECTRA_MAX_DIM", None),
-            help="dimension cap for complexes",
-        )
-        p.add_argument(
-            "--simplex-cap",
-            type=int,
-            default=_env_int("FLAGSPECTRA_SIMPLEX_CAP", DEFAULT_SIMPLEX_CAP),
-            help="per-dimension simplex count cap",
-        )
-        p.add_argument(
-            "--exact-cap",
-            type=int,
-            default=_env_int("FLAGSPECTRA_EXACT_CAP", EXACT_SEARCH_CAP),
-            help="vertex cap for exact domination searches",
-        )
-        p.add_argument(
-            "--indep-cap",
-            type=int,
-            default=_env_int("FLAGSPECTRA_INDEP_CAP", INDEP_SEARCH_CAP),
-            help="vertex cap for the independent domination search",
-        )
-        p.add_argument(
-            "--width-cap",
-            type=int,
-            default=_env_int("FLAGSPECTRA_WIDTH_CAP", WIDTH_SEARCH_CAP),
-            help="edge cap for exact width searches",
-        )
-        p.add_argument(
-            "--family-cap",
-            type=int,
-            default=_env_int("FLAGSPECTRA_FAMILY_CAP", SDR_FAMILY_CAP),
-            help="member cap for subset sweeps and representative searches",
+            "--family-cap", type=int, help="member cap for subset sweeps and representative searches"
         )
         p.add_argument(
             "--recursion-tol",
@@ -590,8 +600,11 @@ def _emit(text: str, output: str | None) -> None:
 
 def main(argv=None) -> int:
     try:
-        # inside the try: building the parser reads the caps from the environment
+        # the environment is read and checked before parsing, so a malformed
+        # variable exits 2 even with --help or with its option given
+        env = {dest: _env_int(name, default) for dest, name, default in _ENV_OPTIONS}
         args = build_parser().parse_args(argv)
+        _resolve_options(args, env)
         if args.command == "dump-complex":
             _emit(cmd_dump_complex(args), args.output)
             return 0

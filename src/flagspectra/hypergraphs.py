@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -273,7 +274,8 @@ def sweep_family(
     The union of the members a mask selects keeps their edge blocks in
     member order, so its Gram is the principal submatrix of the full union's
     on those rows, and its edges meet where those Gram entries are positive.
-    The LPs are solved in one lockstep batch, smallest subfamilies first.
+    The LPs are solved in one lockstep batch, smallest subfamilies first; w
+    is searched per intersection component and summed.
     The full union is solved again by `fractional_width` and `width`, as
     second routes; each must agree exactly with the table.
     """
@@ -298,10 +300,31 @@ def sweep_family(
     for mask, solution in zip(order, solve_covering_batch([weights[rows[m][:, None], rows[m]] for m in order])):
         assert solution.optimal  # positive diagonals make large weights feasible
         fractional[mask] = solution.value
+    # An edge meets only edges of its own component of the union's meets
+    # graph, so w of a union is the sum of w over its components.  A union's
+    # components are those of the union without its highest member, merged
+    # by that member's edges; each distinct component is searched once.
+    starts = list(accumulate((h.num_edges for h in fam.members), initial=0))
+    components: list[tuple[int, ...]] = [()] * (full + 1)
+    cover_size: dict[int, int] = {}
     integral = [0] * (full + 1)
     for mask in range(1, full + 1):
-        edges = rows[mask].tolist()
-        integral[mask] = len(smallest_cover(meets, sum(1 << e for e in edges), edges))
+        top = mask.bit_length() - 1
+        comps = components[mask ^ (1 << top)]
+        for e in range(starts[top], starts[top + 1]):
+            merged, rest = 1 << e, []
+            for c in comps:
+                if c & meets[e]:
+                    merged |= c
+                else:
+                    rest.append(c)
+            comps = (*rest, merged)
+        components[mask] = comps
+        for c in comps:
+            if c not in cover_size:
+                edges = [e for e in range(whole.num_edges) if c >> e & 1]
+                cover_size[c] = len(smallest_cover(meets, c, edges))
+        integral[mask] = sum(cover_size[c] for c in comps)
     single = fractional_width(whole)
     if single != fractional[full]:
         raise RuntimeError(f"batched LP gives w* {fractional[full]!r} on the full union, single LP {single!r}")

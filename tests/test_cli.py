@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import flagspectra.cli as cli
 import flagspectra.hypergraphs as hypergraphs
 from flagspectra import cycle_graph, turan_graph
 from flagspectra.cli import main
@@ -21,6 +24,14 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def subprocess_run(args):
+    """`python -m flagspectra` in a fresh process on this checkout's source, with COLUMNS=80."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    return subprocess.run([sys.executable, "-m", "flagspectra", *args], capture_output=True, env=env, timeout=300)
 
 
 def parse_records(out):
@@ -188,8 +199,9 @@ class TestSdrAndWidth:
 
         def lengthened(masks, target, candidates):
             combo = cover(masks, target, candidates)
-            # the table passes lists of edge indices, `width` passes a range
-            if target == (1 << len(masks)) - 1 and isinstance(candidates, list):
+            # the table searches each component once; the singleton {edge 0}
+            # is a component of every union holding member 1
+            if target == 1:
                 return combo + combo[:1]
             return combo
 
@@ -330,20 +342,69 @@ class TestExitCodes:
         assert main(["dump-complex", "--graph", str(path)]) == 2
         assert "expected an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["FLAGSPECTRA_SIMPLEX_CAP", "FLAGSPECTRA_MAX_DIM"])
-    def test_bad_env_cap(self, name, monkeypatch, capsys):
-        monkeypatch.setenv(name, "abc")
-        assert main(["spectra", "--cycle", "5"]) == 2
-        assert f"input error: environment variable {name}" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "name, raw, argv",
+        [
+            ("FLAGSPECTRA_SIMPLEX_CAP", "abc", ["spectra", "--cycle", "5"]),
+            ("FLAGSPECTRA_MAX_DIM", "abc", ["spectra", "--cycle", "5"]),
+            ("FLAGSPECTRA_WIDTH_CAP", "abc", ["spectra", "--cycle", "5", "--width-cap", "5"]),
+            ("FLAGSPECTRA_WIDTH_CAP", "abc", ["--help"]),
+            *(("FLAGSPECTRA_WIDTH_CAP", raw, ["spectra", "--cycle", "5"]) for raw in (" 7 ", "+7", "1_0", "-1")),
+        ],
+        ids=["FLAGSPECTRA_SIMPLEX_CAP", "FLAGSPECTRA_MAX_DIM", "flag-given", "help", "spaces", "plus", "underscore", "negative"],
+    )
+    def test_bad_env_cap(self, name, raw, argv, monkeypatch, capsys):
+        monkeypatch.setenv(name, raw)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: environment variable {name} must be a nonnegative integer in decimal digits, got {raw!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sdr", "--family", "FAMILY", "--strict-tol", "-1"], "--strict-tol must be finite and nonnegative, got -1.0"),
+            (["sdr", "--family", "FAMILY", "--strict-tol", "nan"], "--strict-tol must be finite and nonnegative, got nan"),
+            (["sdr", "--family", "FAMILY", "--strict-tol", "inf"], "--strict-tol must be finite and nonnegative, got inf"),
+            (["spectra", "--cycle", "5", "--recursion-tol", "nan"], "--recursion-tol must be finite and nonnegative, got nan"),
+            (["spectra", "--cycle", "5", "--recursion-tol", "-1"], "--recursion-tol must be finite and nonnegative, got -1.0"),
+            (["spectra", "--cycle", "5", "--max-dim", "-1"], "--max-dim must be nonnegative, got -1"),
+            (["spectra", "--cycle", "5", "--simplex-cap", "-1"], "--simplex-cap must be nonnegative, got -1"),
+            (["domination", "--cycle", "5", "--exact-cap", "-1"], "--exact-cap must be nonnegative, got -1"),
+            (["domination", "--cycle", "5", "--indep-cap", "-1"], "--indep-cap must be nonnegative, got -1"),
+            (["sdr", "--family", "FAMILY", "--width-cap", "-1"], "--width-cap must be nonnegative, got -1"),
+            (["sdr", "--family", "FAMILY", "--family-cap", "-1"], "--family-cap must be nonnegative, got -1"),
+            (["corpus", "--graphs", "-1", "--families", "1"], "--graphs must be nonnegative, got -1"),
+            (["corpus", "--graphs", "0", "--families", "-1"], "--families must be nonnegative, got -1"),
+        ],
+        ids=[
+            "strict-tol-negative",
+            "strict-tol-nan",
+            "strict-tol-inf",
+            "recursion-tol-nan",
+            "recursion-tol-negative",
+            "max-dim",
+            "simplex-cap",
+            "exact-cap",
+            "indep-cap",
+            "width-cap",
+            "family-cap",
+            "graphs",
+            "families",
+        ],
+    )
+    def test_malformed_option_rejected(self, argv, message, family_json, capsys):
+        assert main([family_json if a == "FAMILY" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
 
 
 class TestDeterminism:
     def invoke(self, args):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flagspectra", *args],
-            capture_output=True,
-            timeout=300,
-        )
+        proc = subprocess_run(args)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
@@ -354,3 +415,68 @@ class TestDeterminism:
     def test_corpus_byte_identical(self):
         args = ["corpus", "--graphs", "5", "--nmax", "6", "--families", "3", "--seed", "11"]
         assert self.invoke(args) == self.invoke(args)
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; each request still reads
+    the environment when it starts."""
+
+    def test_parser_built_on_first_request_only(self, family_json, monkeypatch, capsys):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["sdr", "--family", family_json]) == 0
+        assert len(built) == 7  # the top level and six subcommands
+        built.clear()
+        assert main(["spectra", "--cycle", "4"]) == 0
+        assert main(["sdr"]) == 2
+        assert main(["sdr", "--family", family_json]) == 0
+        assert built == []
+        capsys.readouterr()
+
+    def test_environment_read_per_request(self, family_json, monkeypatch, capsys):
+        # the family's full union has 3 edges
+        monkeypatch.setenv("FLAGSPECTRA_WIDTH_CAP", "2")
+        assert main(["sdr", "--family", family_json]) == 3
+        monkeypatch.delenv("FLAGSPECTRA_WIDTH_CAP")
+        assert main(["sdr", "--family", family_json]) == 0
+        monkeypatch.setenv("FLAGSPECTRA_WIDTH_CAP", "2")
+        assert main(["sdr", "--family", family_json]) == 3
+        capsys.readouterr()
+
+    def test_usage_error_leaves_next_request_as_in_fresh_process(self, family_json, capsys):
+        assert main(["sdr"]) == 2
+        capsys.readouterr()
+        code, out = run_cli(["sdr", "--family", family_json], capsys)
+        fresh = subprocess_run(["sdr", "--family", family_json])
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
+
+    def test_in_process_requests_match_subprocesses(self, family_json, tmp_path, monkeypatch, capsys):
+        """Whatever a process keeps between requests, each request's output
+        must be what a fresh process gives."""
+        hyper = tmp_path / "h.json"
+        hyper.write_text(json.dumps({"ground": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+        requests = [
+            ["sdr", "--family", family_json],
+            ["width", "--hypergraph", str(hyper)],
+            ["domination", "--cycle", "9"],
+            ["spectra", "--turan", "3", "2"],
+            ["corpus", "--graphs", "3", "--nmax", "6", "--families", "2", "--seed", "3"],
+            ["sdr", "--help"],
+            ["width"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = []
+        for argv in requests:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out.encode(), captured.err.encode()))
+        for argv, seen in zip(requests, in_process):
+            fresh = subprocess_run(argv)
+            assert seen == (fresh.returncode, fresh.stdout, fresh.stderr), argv

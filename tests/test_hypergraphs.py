@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import flagspectra.hypergraphs as hypergraphs_module
 from flagspectra import (
     CapExceeded,
     Graph,
@@ -205,6 +206,27 @@ class TestWidthProperties:
             assert sweep.integral[mask] == width(union)[0]
             assert sweep.fractional[mask] == fractional_width(union)
         assert sweep.search == sdr_search(fam)
+
+    def test_sweep_searches_each_component_once(self, monkeypatch):
+        # edges 0 and 1 are disjoint until member 3's edge {0, 1} joins them
+        fam = HypergraphFamily(
+            3, [Hypergraph(3, [[0]]), Hypergraph(3, [[1]]), Hypergraph(3, [[0, 1]]), Hypergraph(3, [[2]])]
+        )
+        targets = []
+        cover = hypergraphs_module.smallest_cover
+
+        def recorded(masks, target, candidates):
+            targets.append(target)
+            return cover(masks, target, candidates)
+
+        monkeypatch.setattr(hypergraphs_module, "smallest_cover", recorded)
+        sweep = sweep_family(fam)
+        # the table's components, then `width` on the full union
+        assert sorted(targets[:-1]) == [0b1, 0b10, 0b100, 0b101, 0b110, 0b111, 0b1000]
+        assert targets[-1] == 0b1111
+        assert sweep.integral[0b0011] == 2
+        assert sweep.integral[0b0111] == 1
+        assert sweep.integral[0b1111] == 2
 
     @property_settings
     @given(hypergraphs)
