@@ -238,19 +238,19 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _resolve_graph(args, simplex_cap: int) -> tuple[str, Graph]:
-    if args.graph:
+    if args.graph is not None:
         return args.graph, load_graph(args.graph, simplex_cap)
-    if args.turan:
+    if args.turan is not None:
         r, ell = args.turan
         check_vertex_count(r * ell, simplex_cap)
         return f"turan({r},{ell})", turan_graph(r, ell)
-    if args.cycle:
+    if args.cycle is not None:
         check_vertex_count(args.cycle, simplex_cap)
         return f"cycle({args.cycle})", cycle_graph(args.cycle)
-    if args.complete:
+    if args.complete is not None:
         check_vertex_count(args.complete, simplex_cap)
         return f"complete({args.complete})", complete_graph(args.complete)
-    if args.gnp:
+    if args.gnp is not None:
         n, p, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
         check_vertex_count(n, simplex_cap)
         return f"gnp(n={n},p={p},seed={seed})", random_gnp(n, p, seed)
@@ -327,7 +327,8 @@ def _parse_reps(spec: str, g: Graph):
         if not part:
             continue
         if part == "edge-incidence":
-            reps.append(edge_incidence_representation(g))
+            # None marks it inapplicable: an edgeless graph has no incidence vectors
+            reps.append(edge_incidence_representation(g) if g.num_edges else None)
         elif part == "cycle":
             if g.n % 3 != 0 or g != cycle_graph(g.n):
                 raise InputFormatError("cycle representation requires the cycle graph on 3k vertices")
@@ -372,6 +373,17 @@ def cmd_domination(args) -> list[CheckRecord]:
     names, reps = _parse_reps(args.reps, g)
     lam = lambda_max(g)
     for name, rep in zip(names, reps):
+        if rep is None:
+            records.append(
+                CheckRecord(
+                    check="representation_value",
+                    claim="covering optimum over the representation Gram matrix",
+                    instance=f"{label} rep={name}",
+                    passed=None,
+                    detail="inapplicable: edge incidence representation needs at least one edge",
+                )
+            )
+            continue
         value = representation_value(rep)
         records.append(
             _value_record(
@@ -382,18 +394,21 @@ def cmd_domination(args) -> list[CheckRecord]:
             )
         )
         records.append(verify_gram_row_bound(lam, rep, instance=f"{label} rep={name}"))
-    bound = best_representation_value(g, reps)
-    records.append(
-        _value_record(
-            bound.parameter,
-            "certified lower bound from the supplied representations",
-            label,
-            float(bound.value),
+    reps = [rep for rep in reps if rep is not None]
+    if reps:
+        bound = best_representation_value(g, reps)
+        records.append(
+            _value_record(
+                bound.parameter,
+                "certified lower bound from the supplied representations",
+                label,
+                float(bound.value),
+            )
         )
-    )
     eta = independence_connectivity(g, simplex_cap=cfg.simplex_cap)
     records.append(verify_spectral_connectivity_bound(g.n, lam, eta, instance=label))
-    records.append(verify_representation_connectivity_bound(bound, eta, instance=label))
+    if reps:
+        records.append(verify_representation_connectivity_bound(bound, eta, instance=label))
     return records
 
 

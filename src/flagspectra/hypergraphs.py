@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -23,7 +24,7 @@ from .complexes import DEFAULT_SIMPLEX_CAP, build_flag_complex
 from .domination import VectorRepresentation, smallest_cover
 from .errors import CapExceeded, InputFormatError
 from .graphs import Graph, induced_subgraph
-from .lp import LinearProgram, solve_covering_batch, solve_covering_lp
+from .lp import LinearProgram, solve_covering_lp, solve_covering_stacks
 from .reports import CheckRecord
 from .spectral import betti_profile
 
@@ -255,6 +256,16 @@ def _one_based(indices) -> tuple[int, ...]:
     return tuple(i + 1 for i in indices)
 
 
+@dataclass(frozen=True)
+class _Margins:
+    """Both width margins of every subfamily union, in subset-mask order:
+    rows of (label "I=(...)", |I|, w*, w* - (|I| - 1), w, w - (2|I| - 1))."""
+
+    rows: tuple[tuple[str, int, float, float, int, int], ...]
+    worst_fractional: float
+    first_integral_short: str | None  # label of the first union with w < 2|I| - 1
+
+
 @dataclass(frozen=True, eq=False)
 class FamilySweep:
     """The one analysis of a family: w* and w of every subfamily union,
@@ -265,6 +276,18 @@ class FamilySweep:
     integral: tuple[int, ...]
     search: SdrSearch
 
+    @cached_property
+    def _margins(self) -> _Margins:
+        """One pass over the subfamily unions, shared by both width
+        verifiers and their comparison."""
+        rows = []
+        for mask, indices in _nonempty_subsets(self.size):
+            k = len(indices)
+            wstar, w = self.fractional[mask], self.integral[mask]
+            rows.append((f"I={_one_based(indices)}", k, wstar, wstar - (k - 1), w, w - (2 * k - 1)))
+        short = next((row[0] for row in rows if row[5] < 0), None)
+        return _Margins(tuple(rows), min(row[3] for row in rows), short)
+
 
 def sweep_family(
     fam: HypergraphFamily, width_cap: int = WIDTH_SEARCH_CAP, family_cap: int = SDR_FAMILY_CAP
@@ -274,8 +297,9 @@ def sweep_family(
     The union of the members a mask selects keeps their edge blocks in
     member order, so its Gram is the principal submatrix of the full union's
     on those rows, and its edges meet where those Gram entries are positive.
-    The LPs are solved in one lockstep batch, smallest subfamilies first; w
-    is searched per intersection component and summed.
+    The Grams of all unions of one size are gathered into one stack, and
+    the stacks, smallest unions first, go to one lockstep LP batch; w is
+    searched per intersection component and summed.
     The full union is solved again by `fractional_width` and `width`, as
     second routes; each must agree exactly with the table.
     """
@@ -291,15 +315,25 @@ def sweep_family(
     # meets[j] has bit i set iff edges i and j of the full union intersect
     bits = np.packbits(gram > 0, axis=1, bitorder="little")
     meets = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    # select[mask - 1] marks the edges of the union a subset mask selects;
+    # per union size r, the Grams of all such unions are one (k, r, r) stack
     owner = np.repeat(np.arange(fam.size), [h.num_edges for h in fam.members])
     full = (1 << fam.size) - 1
-    rows = [np.flatnonzero(mask >> owner & 1) for mask in range(full + 1)]
+    masks = np.arange(1, full + 1)
+    select = (masks[:, None] >> owner & 1).astype(bool)
+    sizes = select.sum(axis=1)
     weights = gram.astype(np.float64)
-    order = sorted(range(1, full + 1), key=int.bit_count)
-    fractional = [0.0] * (full + 1)
-    for mask, solution in zip(order, solve_covering_batch([weights[rows[m][:, None], rows[m]] for m in order])):
-        assert solution.optimal  # positive diagonals make large weights feasible
-        fractional[mask] = solution.value
+    order, stacks = [], []
+    for r in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == r)
+        picked = select[group].nonzero()[1].reshape(len(group), r)
+        order.append(masks[group])
+        stacks.append(weights[picked[:, :, None], picked[:, None, :]])
+    values = solve_covering_stacks(stacks)
+    assert not np.isnan(values).any()  # positive diagonals make large weights feasible
+    table = np.zeros(full + 1)
+    table[np.concatenate(order)] = values
+    fractional = table.tolist()
     # An edge meets only edges of its own component of the union's meets
     # graph, so w of a union is the sum of w over its components.  A union's
     # components are those of the union without its highest member, merged
@@ -334,17 +368,11 @@ def sweep_family(
     return FamilySweep(fam.size, tuple(fractional), tuple(integral), sdr_search(fam, family_cap=family_cap))
 
 
-def _subset_widths(sweep: FamilySweep):
-    """(indices, w*, w) of every subfamily union, in subset-mask order."""
-    for mask, indices in _nonempty_subsets(sweep.size):
-        yield indices, sweep.fractional[mask], sweep.integral[mask]
-
-
 def _closing_record(check: str, claim: str, instance: str, search: SdrSearch, violated, slack=None) -> CheckRecord:
     """A condition's last record: where its hypothesis fails, or else whether
     the search found the representatives it promises."""
     if violated is not None:
-        passed, detail = True, f"hypothesis not satisfied at I={_one_based(violated)}"
+        passed, detail = True, f"hypothesis not satisfied at {violated}"
     elif search.representatives is not None:
         passed, detail = True, f"representatives {search.representatives}"
     else:
@@ -361,15 +389,11 @@ def verify_fractional_width_condition(sweep: FamilySweep, instance: str = "", to
     asserted either way.
     """
     records = []
-    worst_margin = None
     borderline = False
     violated = None
-    for indices, value, _ in _subset_widths(sweep):
-        margin = value - (len(indices) - 1)
-        if worst_margin is None or margin < worst_margin:
-            worst_margin = margin
+    for label, k, value, margin, _, _ in sweep._margins.rows:
         if margin < -tol and violated is None:
-            violated = indices
+            violated = label
         if abs(margin) <= tol:
             borderline = True
         if margin > tol:
@@ -382,16 +406,17 @@ def verify_fractional_width_condition(sweep: FamilySweep, instance: str = "", to
             CheckRecord(
                 check="fractional_width_margin",
                 claim="margin of w*(union of subfamily) against |I| - 1",
-                instance=f"{instance} I={_one_based(indices)}",
-                k=len(indices),
+                instance=f"{instance} {label}",
+                k=k,
                 lhs=value,
-                rhs=float(len(indices) - 1),
+                rhs=float(k - 1),
                 slack=margin,
                 passed=True,
                 detail=note,
             )
         )
     claim = "w* margins all positive imply a system of disjoint representatives"
+    worst_margin = sweep._margins.worst_fractional
     if violated is None and borderline:
         records.append(
             CheckRecord(
@@ -410,27 +435,22 @@ def verify_fractional_width_condition(sweep: FamilySweep, instance: str = "", to
 
 def verify_integral_width_condition(sweep: FamilySweep, instance: str = "") -> list[CheckRecord]:
     """Integral width at least 2|I|-1 on every subfamily union forces representatives."""
-    records = []
-    violated = None
-    for indices, _, value in _subset_widths(sweep):
-        need = 2 * len(indices) - 1
-        if value < need and violated is None:
-            violated = indices
-        records.append(
-            CheckRecord(
-                check="integral_width_margin",
-                claim="margin of w(union of subfamily) against 2|I| - 1",
-                instance=f"{instance} I={_one_based(indices)}",
-                k=len(indices),
-                lhs=float(value),
-                rhs=float(need),
-                slack=float(value - need),
-                passed=True,
-                detail="hypothesis margin met" if value >= need else "hypothesis not met",
-            )
+    records = [
+        CheckRecord(
+            check="integral_width_margin",
+            claim="margin of w(union of subfamily) against 2|I| - 1",
+            instance=f"{instance} {label}",
+            k=k,
+            lhs=float(value),
+            rhs=float(2 * k - 1),
+            slack=float(slack),
+            passed=True,
+            detail="hypothesis margin met" if slack >= 0 else "hypothesis not met",
         )
+        for label, k, _, _, value, slack in sweep._margins.rows
+    ]
     claim = "w(union) >= 2|I|-1 for all I implies a system of disjoint representatives"
-    records.append(_closing_record("integral_width_sdr", claim, instance, sweep.search, violated))
+    records.append(_closing_record("integral_width_sdr", claim, instance, sweep.search, sweep._margins.first_integral_short))
     return records
 
 
@@ -438,8 +458,8 @@ def compare_width_conditions(sweep: FamilySweep, instance: str = "", tol: float 
     """Side-by-side report of the two sufficient conditions on one family."""
     records = verify_fractional_width_condition(sweep, instance=instance, tol=tol)
     records += verify_integral_width_condition(sweep, instance=instance)
-    frac_holds = all(wstar - (len(i) - 1) > tol for i, wstar, _ in _subset_widths(sweep))
-    int_holds = all(w >= 2 * len(i) - 1 for i, _, w in _subset_widths(sweep))
+    frac_holds = sweep._margins.worst_fractional > tol
+    int_holds = sweep._margins.first_integral_short is None
     detail = f"fractional condition: {'met' if frac_holds else 'not met'}; integral condition: {'met' if int_holds else 'not met'}"
     if frac_holds and not int_holds:
         detail += " (separation instance)"

@@ -9,13 +9,18 @@ solution is returned.
 
 A subset sweep solves hundreds of tiny LPs of one form (unit objective and
 right-hand side, square nonnegative matrix with a positive diagonal).  Too
-small to gain from vectorizing one tableau, they are solved together:
-`solve_covering_batch` runs the same pivots on a stack of padded tableaus
-in lockstep, one numpy operation per step for the whole stack, and returns
-the same solutions bit for bit.  Once at most half of a stack still pivots,
-the finished tableaus are dropped from it, so a batch pays only for its
-running LPs, and the certificates of a whole batch are checked in one
-stacked pass with the single-LP formulas and tolerances.
+small to gain from vectorizing one tableau, they are solved together, in
+lockstep on a stack of padded tableaus, one numpy operation per step for
+the whole stack, with the same solutions bit for bit.  The LPs arrive as
+(k, r, r) stacks of equal-size matrices: `solve_covering_stacks` takes a
+sweep's stacks and returns its values as one array, and
+`solve_covering_batch` is the same core on a list of matrices, returning
+one `LPSolution` each.  The core fills the tableaus one stack slice at a
+time and pivots without masks: finished instances just get zero factors.
+Once at most half of a stack still pivots, the finished tableaus are
+dropped from it, so a batch pays only for its running LPs, and the
+certificates of a whole batch are checked in one stacked pass with the
+single-LP formulas and tolerances.
 """
 
 from __future__ import annotations
@@ -89,10 +94,10 @@ def _ratio_row(tab, basis, col, n_rows):
     """
     row = -1
     best = None
-    for i in range(n_rows):
-        a = tab[i, col]
+    rhs = tab[:n_rows, -1].tolist()
+    for i, a in enumerate(tab[:n_rows, col].tolist()):
         if a > FEAS_TOL:
-            ratio = tab[i, -1] / a
+            ratio = rhs[i] / a
             if best is None or ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < basis[row]):
                 best = ratio
                 row = i
@@ -321,11 +326,20 @@ def _lockstep(t, basis, live, iters, caps):
 def _step(t, basis, iters, caps, live, col, product):
     """One `_run` pivot on every live tableau of a `_lockstep` stack, with
     entering column col; product is scratch of t's shape.  Marks the
-    instances that col leaves unbounded as finished and returns their mask."""
+    instances that col leaves unbounded as finished and returns their mask.
+
+    The rank-1 update runs on the whole stack unmasked: the pivot row and
+    every finished instance get zero factors, and subtracting a zero
+    product leaves an entry as it was, at most turning -0.0 into 0.0.  No
+    comparison in the simplex tells the two zeros apart, x is clipped at 0.0
+    and y is solved from the basis, so the solutions stay bitwise those of
+    `_run`.
+    """
     n = basis.shape[1]
     batch = np.arange(len(t))
     rhs = t[:, :n, -1]
-    a = t[batch, :n, col]
+    factor = t[batch, :, col]  # column col, objective row included
+    a = factor[:, :n]
     # prefer evicting a zero-valued basic artificial touched by the column
     evict = (basis >= 2 * n) & (rhs <= FEAS_TOL) & (np.abs(a) > FEAS_TOL)
     by_ratio = ~evict.any(axis=1)
@@ -343,15 +357,15 @@ def _step(t, basis, iters, caps, live, col, product):
         row[k] = _ratio_row(t[k], basis[k], col[k], n)
     stuck = by_ratio & ~positive.any(axis=1)
     live &= ~stuck
-    # _pivot on every live tableau; the others get zero row factors
+    # _pivot on every live tableau; factor is column col as gathered above,
+    # zeroed on the pivot row and on finished instances
     pivot_row = t[batch, row]
     np.divide(pivot_row, pivot_row[batch, col][:, None], out=pivot_row, where=live[:, None])
     t[batch, row] = pivot_row
-    factor = t[batch, :, col]
     factor[batch, row] = 0.0
-    update = (factor != 0.0) & live[:, None]
-    np.multiply(factor[:, :, None], pivot_row[:, None, :], out=product)
-    np.subtract(t, product, out=t, where=update[:, :, None])
+    factor[~live] = 0.0
+    np.einsum("bi,bj->bij", factor, pivot_row, out=product)
+    t -= product
     moved = live.nonzero()[0]
     basis[moved, row[moved]] = col[moved]
     iters += live
@@ -360,15 +374,23 @@ def _step(t, basis, iters, caps, live, col, product):
     return stuck
 
 
-def _solve_batch(mats, n, iteration_cap):
-    """_solve and _certify for unit-cost covering LPs, padded to n rows."""
-    count = len(mats)
-    sizes = np.array([len(a) for a in mats])
+def _solve_batch(stacks, n, iteration_cap):
+    """_solve and _certify for unit-cost covering LPs: every slice of each
+    (k, r, r) stack of matrices, padded to n rows, in one lockstep batch.
+
+    Returns, per instance in stack order, the masks of the infeasible and
+    the unbounded LPs, x and y padded to n, and the value (nan unless
+    optimal).
+    """
+    sizes = np.concatenate([np.full(len(s), s.shape[1]) for s in stacks])
+    count = len(sizes)
     rows = np.arange(n)
     real = rows < sizes[:, None]
     t = np.zeros((count, n + 1, 2 * n + 1))
-    for k, a in enumerate(mats):
-        t[k, : len(a), : len(a)] = a
+    start = 0
+    for s in stacks:
+        t[start : start + len(s), : s.shape[1], : s.shape[1]] = s
+        start += len(s)
     a_pad = t[:, :n, :n].copy()
     if not (np.isfinite(a_pad).all() and (a_pad >= 0.0).all() and (a_pad[:, rows, rows] > 0.0)[real].all()):
         raise ValueError("batched covering LP needs a finite nonnegative matrix with a positive diagonal")
@@ -411,26 +433,59 @@ def _solve_batch(mats, n, iteration_cap):
     # _certify on the whole stack, with c = b = 1 on each instance's own
     # rows and columns; the value is still c.x on the instance's own x
     ones = np.ones(n)
-    value = [float(ones[:r] @ x[k, :r]) for k, r in enumerate(sizes.tolist())]
+    value = np.array([ones[:r] @ x[k, :r] for k, r in enumerate(sizes.tolist())])
     b = real.astype(np.float64)
     residual = (a_pad @ x[:, :, None])[:, :, 0] - b
     primal_ok = ((residual >= -CERT_TOL * (1.0 + np.abs(b))) | ~real).all(axis=1)
     dual_res = b - (y[:, None, :] @ a_pad)[:, 0, :]
     dual_ok = ((dual_res >= -CERT_TOL * (1.0 + np.abs(b))) | ~real).all(axis=1)
     sign_ok = (((x >= -CERT_TOL) & (y >= -CERT_TOL)) | ~real).all(axis=1)
-    gap = np.abs(np.array(value) - (b * y).sum(axis=1))
+    gap = np.abs(value - (b * y).sum(axis=1))
     gap_ok = gap <= GAP_TOL * (1.0 + np.abs(value))
     failed = np.flatnonzero(solved & ~(primal_ok & dual_ok & sign_ok & gap_ok))
     if len(failed):
         k = failed[0]
         raise _certificate_error(primal_ok[k], dual_ok[k], sign_ok[k], gap[k])
-    out = []
-    for k, r in enumerate(sizes.tolist()):
-        if solved[k]:
-            out.append(LPSolution(status="optimal", x=x[k, :r], y=y[k, :r], value=value[k]))
-        else:
-            out.append(LPSolution(status="infeasible" if infeasible[k] else "unbounded"))
-    return out
+    value[~solved] = np.nan
+    return infeasible, unbounded, x, y, value
+
+
+def _batches(stacks):
+    """Consecutive lockstep batches of at most BATCH_BYTES of padded tableau
+    (or of one LP, if that alone is larger), taken greedily from a sequence
+    of (k, r, r) stacks: yields each batch's stack slices and padded size."""
+    batch, count, n = [], 0, 0
+    for s in stacks:
+        start = 0
+        while start < len(s):
+            wider = max(n, s.shape[1])
+            room = BATCH_BYTES // ((wider + 1) * (2 * wider + 1) * 8) - count
+            if room <= 0 and count:
+                yield batch, n
+                batch, count, n = [], 0, 0
+                continue
+            stop = start + max(1, min(room, len(s) - start))
+            batch.append(s[start:stop])
+            count, n, start = count + stop - start, wider, stop
+    if batch:
+        yield batch, n
+
+
+def solve_covering_stacks(stacks, iteration_cap: int | None = None) -> np.ndarray:
+    """Optimal values of min 1.x subject to A x >= 1, x >= 0, for every
+    slice A of each (k, r, r) stack, in order: one array, with nan where an
+    LP has no optimum.
+
+    The form, batching and iteration caps are those of
+    `solve_covering_batch`, and each value is bitwise equal to
+    `solve_covering_lp`'s.
+    """
+    stacks = [np.asarray(s, dtype=np.float64) for s in stacks]
+    for s in stacks:
+        if s.ndim != 3 or s.shape[1] != s.shape[2] or not s.shape[1]:
+            raise ValueError(f"batched covering LP needs a (k, r, r) stack with r >= 1, got shape {s.shape}")
+    values = [_solve_batch(batch, n, iteration_cap)[-1] for batch, n in _batches(stacks)]
+    return np.concatenate(values) if values else np.zeros(0)
 
 
 def solve_covering_batch(matrices, iteration_cap: int | None = None) -> list[LPSolution]:
@@ -447,14 +502,13 @@ def solve_covering_batch(matrices, iteration_cap: int | None = None) -> list[LPS
         if a.ndim != 2 or a.shape[0] != a.shape[1] or not len(a):
             raise ValueError(f"batched covering LP needs a nonempty square matrix, got shape {a.shape}")
     out: list[LPSolution] = []
-    start = 0
-    while start < len(mats):
-        stop, n = start + 1, len(mats[start])
-        while stop < len(mats):
-            wider = max(n, len(mats[stop]))
-            if (stop + 1 - start) * (wider + 1) * (2 * wider + 1) * 8 > BATCH_BYTES:
-                break
-            stop, n = stop + 1, wider
-        out.extend(_solve_batch(mats[start:stop], n, iteration_cap))
-        start = stop
+    # one matrix per stack, so a batch's stack slices are its instances
+    for batch, n in _batches([a[None] for a in mats]):
+        infeasible, unbounded, x, y, value = _solve_batch(batch, n, iteration_cap)
+        for k, (s, v) in enumerate(zip(batch, value.tolist())):
+            r = s.shape[1]
+            if infeasible[k] or unbounded[k]:
+                out.append(LPSolution(status="infeasible" if infeasible[k] else "unbounded"))
+            else:
+                out.append(LPSolution(status="optimal", x=x[k, :r], y=y[k, :r], value=v))
     return out

@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -141,6 +140,22 @@ class TestDomination:
         values = [r for r in parse_records(out) if r["check"] == "representation_value"]
         assert values[0]["lhs"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_edgeless_graph(self, n, capsys, tmp_path):
+        # I(G) of an edgeless graph is a full simplex, so eta = inf; the edge
+        # incidence representation has no vectors and is reported inapplicable
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"n": n, "edges": []}))
+        code, out = run_cli(["domination", "--graph", str(path)], capsys)
+        assert code == 0
+        records = {r["check"]: r for r in parse_records(out)}
+        rep = records["representation_value"]
+        assert rep["pass"] is None and rep["detail"].startswith("inapplicable: ")
+        spectral = records["connectivity_spectral_bound"]
+        assert spectral["pass"] is True and spectral["lhs"] == "inf"
+        assert records["domination_number"]["lhs"] == n
+        assert "gram_row_bound" not in records and "representation_value_lower_bound" not in records
+
     def test_rejects_cycle_rep_on_wrong_graph(self, capsys, tmp_path):
         # K_4 is not a cycle on 3k vertices
         path = tmp_path / "k4.json"
@@ -160,15 +175,15 @@ class TestSdrAndWidth:
         assert "fractional condition: met" in comparison["detail"]
 
     def test_sdr_exits_1_when_batched_and_single_lp_disagree(self, capsys, family_json, monkeypatch):
-        solve = hypergraphs.solve_covering_batch
+        solve = hypergraphs.solve_covering_stacks
 
-        def perturbed(matrices):
-            solutions = solve(matrices)
-            last = solutions[-1]  # subsets go in |I| order: the full union
-            solutions[-1] = dataclasses.replace(last, value=float(np.nextafter(last.value, np.inf)))
-            return solutions
+        def perturbed(stacks):
+            values = solve(stacks)
+            # stacks go in union-size order: the last value is the full union's
+            values[-1] = np.nextafter(values[-1], np.inf)
+            return values
 
-        monkeypatch.setattr(hypergraphs, "solve_covering_batch", perturbed)
+        monkeypatch.setattr(hypergraphs, "solve_covering_stacks", perturbed)
         code = main(["sdr", "--family", family_json])
         captured = capsys.readouterr()
         assert code == 1
@@ -397,6 +412,19 @@ class TestExitCodes:
     )
     def test_malformed_option_rejected(self, argv, message, family_json, capsys):
         assert main([family_json if a == "FAMILY" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [(["--cycle", "0"], "cycle graph needs at least 3 vertices"), (["--complete", "0"], "empty graph")],
+        ids=["cycle", "complete"],
+    )
+    def test_zero_size_graph_source_is_a_source(self, source, message, capsys):
+        # a zero-vertex source is given, so the error is about the graph it
+        # makes, not "no graph source given"
+        assert main(["spectra", *source]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"

@@ -6,8 +6,11 @@ subsets with itertools and keep those spanning complete subgraphs.
 
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspectra import (
     CapExceeded,
@@ -24,6 +27,14 @@ from flagspectra import (
     turan_graph,
 )
 from flagspectra.complexes import Cochain, random_cochain, restriction_matrices, sort_sign
+
+
+# graphs on 1-9 vertices from arbitrary vertex pairs (loops dropped)
+small_graphs = st.integers(1, 9).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+        lambda pairs: Graph(n, [(u, v) for u, v in pairs if u != v])
+    )
+)
 
 
 def brute_force_cliques(g, size):
@@ -246,3 +257,20 @@ class TestCochains:
                 )
                 norm = float(np.dot(phi.values, phi.values))
                 assert total == pytest.approx((k + 1) * norm, rel=1e-12)
+
+
+class TestNetworkxOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_graphs)
+    def test_skeleta_are_networkx_cliques(self, g):
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(g.n))
+        oracle.add_edges_from(g.edges)
+        by_size = {}
+        for clique in nx.enumerate_all_cliques(oracle):
+            by_size.setdefault(len(clique), []).append(tuple(sorted(clique)))
+        x = build_flag_complex(g, max_dim=g.n - 1)
+        assert x.complete
+        for k, level in enumerate(x.skeleta):
+            assert list(level) == sorted(by_size.get(k + 1, []))
+        assert len(x.skeleta) >= max(by_size)

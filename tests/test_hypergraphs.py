@@ -180,6 +180,23 @@ families = st.integers(1, 6).flatmap(
 )
 
 
+def repeat_first_edge_last(ground, members):
+    """The family of the members, with the first member's first edge repeated in the last."""
+    members = [*members[:-1], [*members[-1], members[0][0]]]
+    return HypergraphFamily(ground, [Hypergraph(ground, edges) for edges in members])
+
+
+# ground <= 6, 2-5 members of 1-5 edges, not all of one count, with a
+# duplicate edge: unions of equal member count differ in size
+uneven_families = st.integers(1, 6).flatmap(
+    lambda ground: st.lists(
+        st.lists(st.sets(st.integers(0, ground - 1), min_size=1), min_size=1, max_size=4),
+        min_size=2,
+        max_size=5,
+    ).map(lambda members: repeat_first_edge_last(ground, members))
+).filter(lambda fam: len({h.num_edges for h in fam.members}) > 1)
+
+
 class TestWidthProperties:
     @property_settings
     @given(hypergraphs)
@@ -206,6 +223,17 @@ class TestWidthProperties:
             assert sweep.integral[mask] == width(union)[0]
             assert sweep.fractional[mask] == fractional_width(union)
         assert sweep.search == sdr_search(fam)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(uneven_families)
+    def test_stacked_sweep_matches_single_lps_bitwise(self, fam):
+        sweep = sweep_family(fam)
+        sizes_by_count = {}
+        for mask in range(1, 1 << fam.size):
+            union = fam.union([i for i in range(fam.size) if mask >> i & 1])
+            sizes_by_count.setdefault(mask.bit_count(), set()).add(union.num_edges)
+            assert sweep.fractional[mask].hex() == fractional_width(union).hex()
+        assert len(sizes_by_count[1]) > 1
 
     def test_sweep_searches_each_component_once(self, monkeypatch):
         # edges 0 and 1 are disjoint until member 3's edge {0, 1} joins them

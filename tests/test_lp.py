@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 
 import flagspectra.lp as lp_module
 from flagspectra import LinearProgram, solve_covering_lp
-from flagspectra.lp import solve_covering_batch
+from flagspectra.lp import solve_covering_batch, solve_covering_stacks
 
 
 def make(c, a, b):
@@ -367,6 +367,46 @@ class TestBatch:
         message = r"^LP certificate check failed \(primal True, dual False, signs True, gap 1\.000e\+00\)$"
         with pytest.raises(RuntimeError, match=message):
             solve_covering_batch(matrices)
+
+    def test_stacks_holding_negative_zeros_match_single_solves(self, monkeypatch):
+        # -0.0 passes as a nonnegative entry and sits in the tableaus; the
+        # unmasked rank-1 update may turn one into 0.0, which must reach
+        # neither x, y nor the value
+        rng = np.random.default_rng(68)
+        stacks = []
+        for r in (2, 3, 4, 5):
+            stack = rng.choice([0.0, -0.0, -0.0, 1.0, 2.0], size=(10, r, r))
+            stack[:, np.arange(r), np.arange(r)] += 1.0
+            stacks.append(stack)
+        negative_zeros = []
+        original = lp_module._step
+
+        def spy(t, *args):
+            negative_zeros.append(int((np.signbit(t) & (t == 0.0)).sum()))
+            return original(t, *args)
+
+        monkeypatch.setattr(lp_module, "_step", spy)
+        values = solve_covering_stacks(stacks)
+        matrices = [a for stack in stacks for a in stack]
+        solutions = solve_covering_batch(matrices)
+        assert min(negative_zeros) > 0
+        assert len(values) == len(solutions) == len(matrices)
+        for a, value, batched in zip(matrices, values, solutions):
+            single = solve_covering_lp(unit_lp(a))
+            assert_bitwise_equal(batched, single)
+            assert np.float64(value).tobytes() == np.float64(single.value).tobytes()
+
+    def test_stacks_of_mixed_sizes_keep_their_order(self):
+        rng = np.random.default_rng(69)
+        stacks = [np.eye(3)[None] * 2.0, rng.random((7, 1, 1)) + 0.5, np.zeros((0, 2, 2)), np.ones((4, 2, 2))]
+        values = solve_covering_stacks(stacks)
+        expected = [solve_covering_lp(unit_lp(a)).value for stack in stacks for a in stack]
+        assert values.tolist() == expected
+
+    @pytest.mark.parametrize("stack", [np.ones((2, 2, 3)), np.ones((2, 0, 0)), np.ones((2, 2))])
+    def test_stacks_reject_shapes_outside_the_form(self, stack):
+        with pytest.raises(ValueError, match="stack"):
+            solve_covering_stacks([np.ones((1, 2, 2)), stack])
 
     @pytest.mark.parametrize("a", [[[1.0, 1.0]], [[0.0]], [[1.0, -1.0], [1.0, 1.0]], [[np.nan]], np.zeros((0, 0))])
     def test_rejects_matrices_outside_the_form(self, a):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspectra import (
     Graph,
@@ -44,6 +46,14 @@ def full_profile(g):
 
 def reduced_euler_characteristic(x):
     return sum((-1) ** k * len(x.skeleta[k]) for k in range(x.max_dim + 1)) - 1
+
+
+# graphs on 1-9 vertices from arbitrary vertex pairs (loops dropped)
+small_graphs = st.integers(1, 9).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+        lambda pairs: Graph(n, [(u, v) for u, v in pairs if u != v])
+    )
+)
 
 
 class TestHodgeLaplacian:
@@ -131,6 +141,16 @@ class TestBettiProfile:
             profile = betti_profile(x)
             alternating = sum((-1) ** k * b for k, b in enumerate(profile.betti))
             assert alternating == reduced_euler_characteristic(x)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_graphs)
+    def test_reduced_euler_characteristic_on_random_graphs(self, g):
+        # sum_k (-1)^k b_k = -1 + sum_k (-1)^k f_k over the whole clique complex
+        x = build_flag_complex(g, max_dim=g.n - 1)
+        assert x.complete
+        profile = betti_profile(x)
+        alternating = sum((-1) ** k * b for k, b in enumerate(profile.betti))
+        assert alternating == reduced_euler_characteristic(x)
 
     def test_truncated_triangle_reports_floor_only(self):
         # with the top dimension cut off, a positive Betti number there is
