@@ -153,7 +153,7 @@ def strong_domination_lp(g: Graph) -> LinearProgram:
         for u in g.neighbors(v):
             a[v, u] = 1.0
         a[v, v] = g.degree(v)
-    return LinearProgram(np.ones(g.n), a, np.ones(g.n))
+    return LinearProgram(a)
 
 
 def fractional_strong_domination(g: Graph) -> DominationReport:
@@ -209,9 +209,7 @@ def validate_representation(rep: VectorRepresentation, tol: float = GRAM_TOL) ->
 
 
 def representation_lp(rep: VectorRepresentation) -> LinearProgram:
-    gram = rep.gram().astype(np.float64)
-    n = rep.graph.n
-    return LinearProgram(np.ones(n), gram, np.ones(n))
+    return LinearProgram(rep.gram().astype(np.float64))
 
 
 def representation_value(rep: VectorRepresentation) -> DominationReport:
@@ -307,6 +305,8 @@ def representation_from_json_dict(g: Graph, data: dict) -> VectorRepresentation:
     mat = np.array(vectors, dtype=np.float64)
     if mat.ndim != 2 or mat.shape != (g.n, dim):
         raise InputFormatError(f"representation must be {g.n} x {dim}")
+    if not np.isfinite(mat).all():
+        raise InputFormatError("representation coordinates must be finite")
     return VectorRepresentation(g, mat)
 
 

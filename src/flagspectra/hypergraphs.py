@@ -171,8 +171,7 @@ def fractional_width_lp(h: Hypergraph) -> LinearProgram:
     if h.num_edges == 0:
         raise ValueError("empty hypergraph")
     b = _incidence_matrix(h)
-    m = h.num_edges
-    return LinearProgram(np.ones(m), b @ b.T, np.ones(m))
+    return LinearProgram(b @ b.T)
 
 
 def fractional_width(h: Hypergraph) -> float:
@@ -300,8 +299,9 @@ def sweep_family(
     The Grams of all unions of one size are gathered into one stack, and
     the stacks, smallest unions first, go to one lockstep LP batch; w is
     searched per intersection component and summed.
-    The full union is solved again by `fractional_width` and `width`, as
-    second routes; each must agree exactly with the table.
+    The full union is solved again by `fractional_width`, a single LP that
+    the scalar simplex loop pivots instead of the lockstep stack, and by
+    `width`, as second routes; each must agree exactly with the table.
     """
     if fam.size > family_cap:
         raise CapExceeded(f"subset sweep capped at {family_cap} members (got {fam.size})")

@@ -140,6 +140,48 @@ class TestDomination:
         values = [r for r in parse_records(out) if r["check"] == "representation_value"]
         assert values[0]["lhs"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("coordinate", ['"nan"', '"inf"', "NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_representation_coordinates(self, coordinate, capsys, tmp_path):
+        gpath = tmp_path / "p3.json"
+        gpath.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        rpath = tmp_path / "rep.json"
+        rpath.write_text('{"dim": 2, "vectors": [[1.0, 0.0], [1.0, 1.0], [%s, 1.0]]}' % coordinate)
+        code = main(["domination", "--graph", str(gpath), "--reps", f"file:{rpath}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: representation coordinates must be finite\n"
+
+    def test_tiny_negative_gram_entries_still_solve(self, capsys, tmp_path, monkeypatch):
+        # v0 . v2 = -1e-12 sits within the Gram tolerance of a non-edge, so
+        # the representation is valid, and its Gram LP has a negative entry
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        (tmp_path / "neg.json").write_text(json.dumps({"dim": 2, "vectors": [[1.0, 0.0], [1.0, 1.0], [-1e-12, 1.0]]}))
+        code, out = run_cli(["domination", "--graph", "p3.json", "--reps", "file:neg.json"], capsys)
+        assert code == 0
+        assert out == (
+            '{"check": "run_config", "claim": "configuration recorded for reproducibility", "instance": "p3.json", "k": null, "lhs": null, "rhs": null, "slack": null, "pass": true, "detail": "seed=42 max_dim=None simplex_cap=20000 exact_cap=16 indep_cap=14 width_cap=20 family_cap=8 recursion_tol=1e-07 strict_tol=1e-07"}\n'
+            '{"check": "domination_number", "claim": "exact parameter with witness", "instance": "p3.json", "k": null, "lhs": 1, "rhs": null, "slack": null, "pass": true, "detail": "witness=(1,)"}\n'
+            '{"check": "total_domination_number", "claim": "exact parameter with witness", "instance": "p3.json", "k": null, "lhs": 2, "rhs": null, "slack": null, "pass": true, "detail": "witness=(0, 1)"}\n'
+            '{"check": "independent_domination_number", "claim": "exact parameter with witness", "instance": "p3.json", "k": null, "lhs": 1, "rhs": null, "slack": null, "pass": true, "detail": "witness=((1,), (0,))"}\n'
+            '{"check": "fractional_strong_domination", "claim": "strong fractional domination optimum", "instance": "p3.json", "k": null, "lhs": 1, "rhs": null, "slack": null, "pass": true, "detail": ""}\n'
+            '{"check": "representation_value", "claim": "covering optimum over the representation Gram matrix", "instance": "p3.json rep=file:neg.json", "k": null, "lhs": 1, "rhs": null, "slack": null, "pass": true, "detail": ""}\n'
+            '{"check": "gram_row_bound", "claim": "lambda_max <= max_u P(u) . sum_v P(v)", "instance": "p3.json rep=file:neg.json", "k": null, "lhs": 3, "rhs": 4, "slack": 0.999999999999, "pass": true, "detail": ""}\n'
+            '{"check": "representation_value_lower_bound", "claim": "certified lower bound from the supplied representations", "instance": "p3.json", "k": null, "lhs": 1, "rhs": null, "slack": null, "pass": true, "detail": ""}\n'
+            '{"check": "connectivity_spectral_bound", "claim": "eta(independence complex) >= n / lambda_max", "instance": "p3.json", "k": null, "lhs": 1, "rhs": 1, "slack": 0, "pass": true, "detail": ""}\n'
+            '{"check": "connectivity_representation_bound", "claim": "eta(independence complex) >= value of every representation", "instance": "p3.json", "k": null, "lhs": 1, "rhs": 1, "slack": -1.00008890058e-12, "pass": true, "detail": ""}\n'
+        )
+
+    def test_isolated_vertex_names_its_zero_row(self, capsys, tmp_path):
+        path = tmp_path / "isolated.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
+        main(["domination", "--graph", str(path)])
+        records = {r["check"]: r for r in parse_records(capsys.readouterr().out)}
+        frac = records["fractional_strong_domination"]
+        assert frac["lhs"] == "inf"
+        assert frac["detail"] == "infeasible: zero row 2 requires 1 > 0"
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_edgeless_graph(self, n, capsys, tmp_path):
         # I(G) of an edgeless graph is a full simplex, so eta = inf; the edge

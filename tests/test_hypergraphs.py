@@ -260,7 +260,8 @@ class TestWidthProperties:
     @given(hypergraphs)
     def test_fractional_width_matches_scipy(self, h):
         lp = fractional_width_lp(h)
-        ref = linprog(lp.objective, A_ub=-lp.matrix, b_ub=-lp.rhs, bounds=(0, None), method="highs")
+        ones = np.ones(len(lp.matrix))
+        ref = linprog(ones, A_ub=-lp.matrix, b_ub=-ones, bounds=(0, None), method="highs")
         assert ref.success
         assert fractional_width(h) == pytest.approx(ref.fun, abs=1e-9)
 

@@ -1,6 +1,6 @@
-"""The covering simplex kernel and its lockstep batch: hand LPs, duality, a
-scipy oracle, the rank-1 pivot against row-by-row elimination, and bitwise
-agreement of the batch with single solves, compacted stacks included."""
+"""The covering-LP core: hand LPs, duality, a scipy oracle, the rank-1 pivot
+against row-by-row elimination, and bitwise agreement of lockstep stacks
+with single solves, compacted stacks and the hand-off to `_run` included."""
 
 import numpy as np
 import pytest
@@ -11,16 +11,17 @@ from scipy.optimize import linprog
 
 import flagspectra.lp as lp_module
 from flagspectra import LinearProgram, solve_covering_lp
-from flagspectra.lp import solve_covering_batch, solve_covering_stacks
+from flagspectra.lp import LPSolution, solve_covering_stacks
 
 
-def make(c, a, b):
-    return LinearProgram(np.asarray(c, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+def make(a):
+    return LinearProgram(np.asarray(a, dtype=float))
 
 
 def packing_optimum(lp):
-    """scipy's optimum of the covering dual: max b.y subject to A^T y <= c, y >= 0."""
-    ref = linprog(-lp.rhs, A_ub=lp.matrix.T, b_ub=lp.objective, bounds=(0, None), method="highs")
+    """scipy's optimum of the covering dual: max 1.y subject to A^T y <= 1, y >= 0."""
+    ones = np.ones(len(lp.matrix))
+    ref = linprog(-ones, A_ub=lp.matrix.T, b_ub=ones, bounds=(0, None), method="highs")
     assert ref.success
     return -ref.fun
 
@@ -29,57 +30,39 @@ def assert_dual_matches_packing(lp, sol, tol=1e-7):
     """The covering value and the dual y are both optimal for the packing problem."""
     best = packing_optimum(lp)
     assert sol.value == pytest.approx(best, abs=tol)
-    assert float(lp.rhs @ sol.y) == pytest.approx(best, abs=tol)
+    assert float(sol.y.sum()) == pytest.approx(best, abs=tol)
     assert (sol.y >= -tol).all()
-    assert (lp.matrix.T @ sol.y <= lp.objective + tol).all()
+    assert (lp.matrix.T @ sol.y <= 1.0 + tol).all()
 
 
 class TestCovering:
     def test_single_variable(self):
-        sol = solve_covering_lp(make([1.0], [[1.0]], [1.0]))
+        sol = solve_covering_lp(make([[1.0]]))
         assert sol.optimal
         assert sol.value == pytest.approx(1.0, abs=1e-9)
         assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible_zero_row(self):
-        sol = solve_covering_lp(make([1.0], [[0.0]], [1.0]))
+        sol = solve_covering_lp(make([[1.0, 2.0], [0.0, -0.0]]))
         assert sol.status == "infeasible"
+        assert sol.notes == "zero row 1 requires 1 > 0"
 
     def test_gram_of_single_edge(self):
         # Gram matrix [[1,1],[1,1]]: either endpoint with weight 1 covers both rows
-        sol = solve_covering_lp(make([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]))
+        sol = solve_covering_lp(make([[1.0, 1.0], [1.0, 1.0]]))
         assert sol.value == pytest.approx(1.0, abs=1e-9)
-
-    def test_redundant_zero_row_dropped(self):
-        sol = solve_covering_lp(make([1.0], [[0.0], [1.0]], [0.0, 1.0]))
-        assert sol.optimal
-        assert sol.value == pytest.approx(1.0, abs=1e-9)
-        assert sol.y[0] == 0.0
-        assert "dropped zero rows [0]" in sol.notes
-
-    def test_negative_rhs_row(self):
-        # x >= -5 is vacuous for x >= 0
-        sol = solve_covering_lp(make([1.0], [[1.0], [1.0]], [-5.0, 2.0]))
-        assert sol.value == pytest.approx(2.0, abs=1e-9)
 
 
 class TestPacking:
     def test_one_by_one(self):
-        lp = make([1.0], [[1.0]], [1.0])
+        lp = make([[1.0]])
         sol = solve_covering_lp(lp)
         assert sol.value == pytest.approx(1.0, abs=1e-9)
         assert_dual_matches_packing(lp, sol, tol=1e-9)
 
-    def test_unbounded_without_constraints(self):
-        # min -x with no rows is unbounded; its packing dual, which has no
-        # variables, asks 0 <= -1 and is infeasible
-        lp = make([-1.0], np.zeros((0, 1)), [])
-        assert solve_covering_lp(lp).status == "unbounded"
-        assert not (lp.matrix.T @ np.zeros(0) <= lp.objective).all()
-
     def test_matches_covering_on_gram(self):
         gram = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-        lp = make([1.0, 1.0, 1.0], gram, [1.0, 1.0, 1.0])
+        lp = make(gram)
         cover = solve_covering_lp(lp)
         assert cover.optimal
         assert_dual_matches_packing(lp, cover)
@@ -88,37 +71,33 @@ class TestPacking:
         from flagspectra import cycle_representation
 
         for k in (1, 2, 3, 4):
-            gram = cycle_representation(k).gram().astype(float)
-            n = 3 * k
-            lp = make(np.ones(n), gram, np.ones(n))
+            lp = make(cycle_representation(k).gram())
             cover = solve_covering_lp(lp)
             assert cover.value == pytest.approx(float(k), abs=1e-7)
-            assert float(lp.rhs @ cover.y) == pytest.approx(float(k), abs=1e-7)
+            assert float(cover.y.sum()) == pytest.approx(float(k), abs=1e-7)
             assert_dual_matches_packing(lp, cover)
 
 
 class TestDualityAndCertificates:
     def seeded_instances(self):
+        # nonnegative integer matrices, not symmetric, with every row coverable
         rng = np.random.default_rng(64)
         for _ in range(30):
-            nv = int(rng.integers(1, 7))
-            nc = int(rng.integers(1, 7))
-            a = rng.integers(0, 4, size=(nc, nv)).astype(float)
-            for i in range(nc):  # keep each row coverable
+            n = int(rng.integers(1, 7))
+            a = rng.integers(0, 4, size=(n, n)).astype(float)
+            for i in range(n):
                 if not a[i].any():
-                    a[i, int(rng.integers(0, nv))] = 1.0
-            c = rng.integers(1, 5, size=nv).astype(float)
-            yield make(c, a, np.ones(nc))
+                    a[i, int(rng.integers(0, n))] = 1.0
+            yield make(a)
 
     def gram_instances(self):
-        # symmetric matrix with unit objective and rhs: covering and packing
-        # optima coincide (the packing problem is the covering dual verbatim)
+        # symmetric matrix: covering and packing optima coincide (the packing
+        # problem is the covering dual verbatim)
         rng = np.random.default_rng(65)
         for _ in range(25):
             n = int(rng.integers(1, 8))
             m = rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))).astype(float)
-            gram = m @ m.T + np.diag(rng.integers(1, 4, size=n).astype(float))
-            yield make(np.ones(n), gram, np.ones(n))
+            yield make(m @ m.T + np.diag(rng.integers(1, 4, size=n).astype(float)))
 
     def test_strong_duality_on_gram_instances(self):
         for lp in self.gram_instances():
@@ -126,39 +105,39 @@ class TestDualityAndCertificates:
             assert cover.optimal
             best = packing_optimum(lp)
             assert abs(cover.value - best) <= 1e-7 * (1 + abs(cover.value))
-            assert abs(float(lp.rhs @ cover.y) - best) <= 1e-7 * (1 + abs(cover.value))
+            assert abs(float(cover.y.sum()) - best) <= 1e-7 * (1 + abs(cover.value))
 
     def test_transposed_pair_duality(self):
-        # the dual of min c.x st Ax >= b is the packing problem on (b, A^T, c)
+        # the dual of min 1.x st Ax >= 1 is the packing problem on A^T
         for lp in self.seeded_instances():
             cover = solve_covering_lp(lp)
             assert cover.optimal
             best = packing_optimum(lp)
             assert abs(cover.value - best) <= 1e-7 * (1 + abs(cover.value))
             assert (cover.y >= -1e-7).all()
-            assert (lp.matrix.T @ cover.y <= lp.objective + 1e-7).all()
-            assert abs(float(lp.rhs @ cover.y) - best) <= 1e-7 * (1 + abs(cover.value))
+            assert (lp.matrix.T @ cover.y <= 1.0 + 1e-7).all()
+            assert abs(float(cover.y.sum()) - best) <= 1e-7 * (1 + abs(cover.value))
 
     def test_complementary_slackness(self):
         for lp in self.seeded_instances():
             sol = solve_covering_lp(lp)
-            surplus = lp.matrix @ sol.x - lp.rhs
+            surplus = lp.matrix @ sol.x - 1.0
             assert float(np.abs(sol.y * surplus).max(initial=0.0)) <= 1e-7
-            reduced = lp.objective - lp.matrix.T @ sol.y
+            reduced = 1.0 - lp.matrix.T @ sol.y
             assert float(np.abs(sol.x * reduced).max(initial=0.0)) <= 1e-7
 
     def test_matches_scipy(self):
         for lp in self.seeded_instances():
             ours = solve_covering_lp(lp)
-            ref = linprog(lp.objective, A_ub=-lp.matrix, b_ub=-lp.rhs, bounds=(0, None), method="highs")
+            ones = np.ones(len(lp.matrix))
+            ref = linprog(ones, A_ub=-lp.matrix, b_ub=-ones, bounds=(0, None), method="highs")
             assert ref.success and ours.optimal
             assert ours.value == pytest.approx(ref.fun, abs=1e-7)
 
     def test_degenerate_gram_terminates(self):
         # many tied vertices: all-ones Gram of a large clique
         n = 12
-        gram = np.ones((n, n)) + np.eye(n) * 3.0
-        lp = make([1.0] * n, gram, [1.0] * n)
+        lp = make(np.ones((n, n)) + np.eye(n) * 3.0)
         cover = solve_covering_lp(lp)
         assert_dual_matches_packing(lp, cover)
 
@@ -199,13 +178,24 @@ class TestPivot:
 
 class TestValidation:
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            make([1.0, 2.0], [[1.0]], [1.0])
+        with pytest.raises(ValueError, match="square"):
+            make([[1.0, 2.0]])
 
 
-def unit_lp(a):
-    a = np.asarray(a, dtype=float)
-    return make(np.ones(len(a)), a, np.ones(len(a)))
+def stacked(matrices, iteration_cap=None):
+    """`_solve_batch` on one stack per matrix, all in one lockstep batch:
+    one `LPSolution` per matrix, x and y cut to its size."""
+    mats = [np.asarray(a, dtype=float) for a in matrices]
+    n = max(len(a) for a in mats)
+    infeasible, unbounded, x, y, value = lp_module._solve_batch([a[None] for a in mats], n, iteration_cap)
+    out = []
+    for k, a in enumerate(mats):
+        if infeasible[k] or unbounded[k]:
+            out.append(LPSolution(status="infeasible" if infeasible[k] else "unbounded"))
+        else:
+            r = len(a)
+            out.append(LPSolution(status="optimal", x=x[k, :r], y=y[k, :r], value=value[k].item()))
+    return out
 
 
 def assert_bitwise_equal(batched, single):
@@ -236,14 +226,68 @@ families = st.lists(
     max_size=5,
 )
 
+# finite square matrices of 1-6 rows with negative entries, signed zeros
+# and zero rows (up to two rows zeroed per draw).  Entries are multiples of
+# 1/4 in [-3, 3]: the simplex uses absolute tolerances, and LPs scaled over
+# many orders of magnitude are left to `test_badly_scaled_lp_fails_its_certificate`
+square_matrices = st.integers(1, 6).flatmap(
+    lambda r: arrays(
+        np.float64,
+        (r, r),
+        elements=st.sampled_from([0.0, -0.0]) | st.integers(-12, 12).map(lambda k: k / 4),
+    )
+)
+covering_matrices = st.tuples(square_matrices, st.lists(st.integers(0, 5), max_size=2)).map(
+    lambda drawn: np.where(np.isin(np.arange(len(drawn[0])), drawn[1])[:, None], 0.0, drawn[0])
+)
+
+
+class TestDifferential:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(covering_matrices, covering_matrices)
+    def test_matches_scipy_and_the_lockstep_stack(self, a, other):
+        ours = solve_covering_lp(make(a))
+        ones = np.ones(len(a))
+        ref = linprog(ones, A_ub=-a, b_ub=-ones, bounds=(0, None), method="highs")
+        # x >= 0 bounds 1.x below, so the LP is either optimal or infeasible
+        assert ref.status in (0, 2)
+        assert ours.status == ("optimal" if ref.status == 0 else "infeasible")
+        if ours.optimal:
+            assert abs(ours.value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+            assert (ours.y >= -1e-7).all()
+            assert (a.T @ ours.y <= 1.0 + 1e-7).all()
+            assert abs(float(ours.y.sum()) - ours.value) <= 1e-7 * (1.0 + abs(ours.value))
+        # a twice, so at least two instances pivot in lockstep with `_step`
+        # until a is solved, and other padded to the larger size beside them
+        first, second, twin = stacked([a, other, a])
+        assert_bitwise_equal(first, ours)
+        assert_bitwise_equal(twin, ours)
+        assert_bitwise_equal(second, solve_covering_lp(make(other)))
+
+
+    def test_round_off_in_phase_1_is_not_infeasibility(self):
+        # x0 = 1e7 covers every row; phase 1 reaches a zero sum of the
+        # artificials up to round-off and then finds a column with a reduced
+        # cost of -2.8e-9 and no positive entry, which is not a proof of
+        # infeasibility
+        sol = solve_covering_lp(make([[1.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        assert sol.optimal
+        assert sol.value == pytest.approx(1e7, rel=1e-12)
+
+    def test_badly_scaled_lp_fails_its_certificate(self):
+        # the optimum is about 1e8; round-off at that scale breaks the
+        # absolute primal tolerance, and the solve refuses to answer
+        with pytest.raises(RuntimeError, match="^LP certificate check failed"):
+            solve_covering_lp(make([[2.0, 1e-8], [1e-8, 1e-8]]))
+
 
 class TestBatch:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(families)
     def test_matches_single_solves_bitwise(self, members):
         grams = subset_grams(members)
-        for a, batched in zip(grams, solve_covering_batch(grams)):
-            assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+        for a, batched in zip(grams, stacked(grams)):
+            assert_bitwise_equal(batched, solve_covering_lp(make(a)))
 
     def test_matches_single_solves_on_non_integer_matrices(self):
         rng = np.random.default_rng(66)
@@ -253,47 +297,59 @@ class TestBatch:
             a = rng.random((r, r)) * (rng.random((r, r)) < 0.6)
             a[np.arange(r), np.arange(r)] += rng.random(r) + 0.1
             matrices.append(a)
-        for a, batched in zip(matrices, solve_covering_batch(matrices)):
-            assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+        for a, batched in zip(matrices, stacked(matrices)):
+            assert_bitwise_equal(batched, solve_covering_lp(make(a)))
 
     def test_consecutive_batches_stay_under_the_byte_limit(self, monkeypatch):
         sizes = []
         original = lp_module._solve_batch
 
-        def spy(mats, n, cap):
-            sizes.append((len(mats), n))
-            return original(mats, n, cap)
+        def spy(stacks, n, cap):
+            sizes.append((sum(len(s) for s in stacks), n))
+            return original(stacks, n, cap)
 
         monkeypatch.setattr(lp_module, "_solve_batch", spy)
         grams = [np.eye(r) + 1.0 for r in range(1, 40)]
-        solutions = solve_covering_batch(grams)
+        values = solve_covering_stacks([a[None] for a in grams])
         assert sum(count for count, _ in sizes) == len(grams) and len(sizes) > 1
         assert all(count == 1 or count * (n + 1) * (2 * n + 1) * 8 <= lp_module.BATCH_BYTES for count, n in sizes)
-        for a, batched in zip(grams, solutions):
-            assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+        for a, value in zip(grams, values):
+            assert value.tobytes() == np.float64(solve_covering_lp(make(a)).value).tobytes()
 
     def test_artificial_eviction(self):
         # after the first pivot a basic artificial sits at zero with a unit
         # entry in the next entering column; evicting it picks a different
-        # row than the ratio test would, so a wrong branch changes the result
+        # row than the ratio test would, so a wrong branch changes the result.
+        # Twice in one stack, so `_step` takes the eviction and `_run` the single solve.
         a = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [2.0, 2.0, 3.0]]
-        (batched,) = solve_covering_batch([a])
-        assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+        single = solve_covering_lp(make(a))
+        for batched in stacked([a, a]):
+            assert_bitwise_equal(batched, single)
 
     def test_near_tie_replays_the_sequential_scan(self, monkeypatch):
         # column 0 has ratios 1 and 1/(1 + 1e-13): the scan keeps row 0 as a
         # tie within 1e-12, while the exact minimum is row 1
         replays = []
-        original = lp_module._ratio_row
+        stepping = []
+        original_step, original_scan = lp_module._step, lp_module._ratio_row
 
-        def spy(*args):
-            replays.append(args[2])
-            return original(*args)
+        def step(*args):
+            stepping.append(True)
+            try:
+                return original_step(*args)
+            finally:
+                stepping.pop()
+
+        def scan(*args):
+            if stepping:
+                replays.append(args)
+            return original_scan(*args)
 
         a = [[1.0, 1.0], [1.0 + 1e-13, 1.0]]
-        single = solve_covering_lp(unit_lp(a))
-        monkeypatch.setattr(lp_module, "_ratio_row", spy)
-        (batched,) = solve_covering_batch([a, np.eye(3)])[:1]
+        single = solve_covering_lp(make(a))
+        monkeypatch.setattr(lp_module, "_step", step)
+        monkeypatch.setattr(lp_module, "_ratio_row", scan)
+        batched = stacked([a, np.eye(3)])[0]
         assert replays
         assert_bitwise_equal(batched, single)
 
@@ -302,54 +358,78 @@ class TestBatch:
         outcomes = []
         for cap in range(8):
             try:
-                single = solve_covering_lp(unit_lp(a), iteration_cap=cap)
+                single = solve_covering_lp(make(a), iteration_cap=cap)
             except RuntimeError as exc:
                 assert str(exc) == "simplex stalled"
                 with pytest.raises(RuntimeError, match="^simplex stalled$"):
-                    solve_covering_batch([np.eye(2), a], iteration_cap=cap)
+                    stacked([np.eye(2), a, a], iteration_cap=cap)
                 outcomes.append("stalled")
                 continue
-            assert_bitwise_equal(solve_covering_batch([np.eye(2), a], iteration_cap=cap)[1], single)
+            assert_bitwise_equal(stacked([np.eye(2), a, a], iteration_cap=cap)[1], single)
             outcomes.append("solved")
         assert "stalled" in outcomes and "solved" in outcomes
 
     @staticmethod
-    def short_and_long(rng):
-        """Fifteen 1x1 LPs, done after one pivot, and a 9x9 one that takes many."""
-        r = 9
-        a = rng.random((r, r)) * (rng.random((r, r)) < 0.6)
-        a[np.arange(r), np.arange(r)] += rng.random(r) + 0.1
-        return [np.eye(1) * (k + 1) for k in range(15)] + [a]
+    def short_and_long(rng, longs):
+        """1x1 LPs, each done after one pivot, and longs 9x9 ones that take
+        many: sixteen in all."""
+        out = [np.eye(1) * (k + 1) for k in range(16 - longs)]
+        for _ in range(longs):
+            r = 9
+            a = rng.random((r, r)) * (rng.random((r, r)) < 0.6)
+            a[np.arange(r), np.arange(r)] += rng.random(r) + 0.1
+            out.append(a)
+        return out
 
     @staticmethod
-    def spy_on_steps(monkeypatch):
-        """Stack sizes of every lockstep pivot, in order."""
-        sizes = []
-        original = lp_module._step
+    def spy_on_pivots(monkeypatch):
+        """Stack sizes of every lockstep pivot, and the iteration count of
+        every tableau handed to `_run`, in order."""
+        sizes, handed = [], []
+        step, run = lp_module._step, lp_module._run
 
-        def spy(t, *args):
+        def step_spy(t, *args):
             sizes.append(len(t))
-            return original(t, *args)
+            return step(t, *args)
 
-        monkeypatch.setattr(lp_module, "_step", spy)
-        return sizes
+        def run_spy(tab, basis, cap, iters):
+            handed.append(iters)
+            return run(tab, basis, cap, iters)
+
+        monkeypatch.setattr(lp_module, "_step", step_spy)
+        monkeypatch.setattr(lp_module, "_run", run_spy)
+        return sizes, handed
 
     def test_compacted_stack_matches_single_solves(self, monkeypatch):
-        matrices = self.short_and_long(np.random.default_rng(67))
-        sizes = self.spy_on_steps(monkeypatch)
-        solutions = solve_covering_batch(matrices)
-        assert sizes[0] == len(matrices) and sizes[-1] == 1 and sizes.count(1) > 5
-        for a, batched in zip(matrices, solutions):
-            assert_bitwise_equal(batched, solve_covering_lp(unit_lp(a)))
+        # the two long LPs go on in a compacted stack of two, and whichever
+        # finishes a phase last goes on alone in `_run`
+        matrices = self.short_and_long(np.random.default_rng(67), longs=2)
+        singles = [solve_covering_lp(make(a)) for a in matrices]
+        sizes, handed = self.spy_on_pivots(monkeypatch)
+        solutions = stacked(matrices)
+        assert sizes[0] == len(matrices) and sizes.count(2) > 5 and set(sizes) == {len(matrices), 2}
+        assert handed and min(handed) > 0
+        for batched, single in zip(solutions, singles):
+            assert_bitwise_equal(batched, single)
 
     def test_compacted_instance_stalls_at_its_cap(self, monkeypatch):
-        matrices = self.short_and_long(np.random.default_rng(67))
+        # one lockstep pivot finishes phase 1 of the fifteen short LPs; the
+        # long one goes on alone in `_run`, which stalls at the cap
+        matrices = self.short_and_long(np.random.default_rng(67), longs=1)
         with pytest.raises(RuntimeError, match="^simplex stalled$"):
-            solve_covering_lp(unit_lp(matrices[-1]), iteration_cap=5)
-        sizes = self.spy_on_steps(monkeypatch)
+            solve_covering_lp(make(matrices[-1]), iteration_cap=5)
+        sizes, handed = self.spy_on_pivots(monkeypatch)
         with pytest.raises(RuntimeError, match="^simplex stalled$"):
-            solve_covering_batch(matrices, iteration_cap=5)
-        assert sizes == [len(matrices)] + [1] * 5
+            stacked(matrices, iteration_cap=5)
+        assert sizes == [len(matrices)]
+        assert handed == [1]
+
+    def test_single_lp_goes_to_run_from_the_start(self, monkeypatch):
+        a = self.short_and_long(np.random.default_rng(67), longs=1)[-1]
+        sizes, handed = self.spy_on_pivots(monkeypatch)
+        assert solve_covering_lp(make(a)).optimal
+        assert sizes == []
+        assert handed[0] == 0 and len(handed) == 2
 
     def test_corrupted_dual_fails_the_stacked_certificate(self, monkeypatch):
         # raise one dual entry of the third LP by 1: A^T y <= 1 breaks in
@@ -366,12 +446,11 @@ class TestBatch:
         monkeypatch.setattr(np.linalg, "solve", corrupt)
         message = r"^LP certificate check failed \(primal True, dual False, signs True, gap 1\.000e\+00\)$"
         with pytest.raises(RuntimeError, match=message):
-            solve_covering_batch(matrices)
+            solve_covering_stacks([a[None] for a in matrices])
 
     def test_stacks_holding_negative_zeros_match_single_solves(self, monkeypatch):
-        # -0.0 passes as a nonnegative entry and sits in the tableaus; the
-        # unmasked rank-1 update may turn one into 0.0, which must reach
-        # neither x, y nor the value
+        # -0.0 sits in the tableaus; the unmasked rank-1 update may turn one
+        # into 0.0, which must reach neither x, y nor the value
         rng = np.random.default_rng(68)
         stacks = []
         for r in (2, 3, 4, 5):
@@ -388,11 +467,11 @@ class TestBatch:
         monkeypatch.setattr(lp_module, "_step", spy)
         values = solve_covering_stacks(stacks)
         matrices = [a for stack in stacks for a in stack]
-        solutions = solve_covering_batch(matrices)
+        solutions = stacked(matrices)
         assert min(negative_zeros) > 0
         assert len(values) == len(solutions) == len(matrices)
         for a, value, batched in zip(matrices, values, solutions):
-            single = solve_covering_lp(unit_lp(a))
+            single = solve_covering_lp(make(a))
             assert_bitwise_equal(batched, single)
             assert np.float64(value).tobytes() == np.float64(single.value).tobytes()
 
@@ -400,7 +479,7 @@ class TestBatch:
         rng = np.random.default_rng(69)
         stacks = [np.eye(3)[None] * 2.0, rng.random((7, 1, 1)) + 0.5, np.zeros((0, 2, 2)), np.ones((4, 2, 2))]
         values = solve_covering_stacks(stacks)
-        expected = [solve_covering_lp(unit_lp(a)).value for stack in stacks for a in stack]
+        expected = [solve_covering_lp(make(a)).value for stack in stacks for a in stack]
         assert values.tolist() == expected
 
     @pytest.mark.parametrize("stack", [np.ones((2, 2, 3)), np.ones((2, 0, 0)), np.ones((2, 2))])
@@ -408,7 +487,12 @@ class TestBatch:
         with pytest.raises(ValueError, match="stack"):
             solve_covering_stacks([np.ones((1, 2, 2)), stack])
 
-    @pytest.mark.parametrize("a", [[[1.0, 1.0]], [[0.0]], [[1.0, -1.0], [1.0, 1.0]], [[np.nan]], np.zeros((0, 0))])
+    @pytest.mark.parametrize(
+        "a", [[[1.0, 1.0]], [[np.inf]], [[1.0, -1.0], [1.0, np.nan]], [[np.nan]], np.zeros((0, 0))]
+    )
     def test_rejects_matrices_outside_the_form(self, a):
-        with pytest.raises(ValueError):
-            solve_covering_batch([np.eye(2), np.asarray(a, dtype=float)])
+        a = np.asarray(a, dtype=float)
+        with pytest.raises(ValueError, match="^covering LP needs a"):
+            LinearProgram(a)
+        with pytest.raises(ValueError, match="stack"):
+            solve_covering_stacks([np.eye(2)[None], a[None]])
