@@ -138,6 +138,15 @@ class TestCoboundary:
                 if not x.skeleta[k + 1]:
                     break
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_graphs)
+    def test_composition_vanishes_on_random_graphs(self, g):
+        x = build_flag_complex(g, max_dim=g.n - 1)
+        for k in range(-1, x.max_dim - 1):
+            prod = coboundary_matrix(x, k + 1) @ coboundary_matrix(x, k)
+            assert prod.dtype == np.int64
+            assert not prod.any()
+
     def test_out_of_range(self):
         x = build_flag_complex(complete_graph(3), max_dim=1)
         with pytest.raises(ValueError):
