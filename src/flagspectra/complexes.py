@@ -48,14 +48,6 @@ class FlagComplex:
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.skeleta)
 
-    @property
-    def top_dimension(self) -> int:
-        """Largest k with a stored k-simplex."""
-        for k in range(self.max_dim, -1, -1):
-            if self.skeleta[k]:
-                return k
-        raise ValueError("complex has no simplices")
-
     def contains(self, simplex: Sequence[int]) -> bool:
         key = tuple(sorted(simplex))
         k = len(key) - 1
@@ -219,10 +211,6 @@ class Cochain:
         if pos is None:
             raise ValueError(f"simplex {key} not in complex")
         return sort_sign(tuple(ordered_vertices)) * float(self.values[pos])
-
-
-def zero_cochain(x: FlagComplex, k: int) -> Cochain:
-    return Cochain(k, np.zeros(len(x.skeleta[k])))
 
 
 def random_cochain(x: FlagComplex, k: int, rng) -> Cochain:

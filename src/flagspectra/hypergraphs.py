@@ -23,7 +23,7 @@ import numpy as np
 from .complexes import DEFAULT_SIMPLEX_CAP, build_flag_complex
 from .domination import VectorRepresentation, smallest_cover
 from .errors import CapExceeded, InputFormatError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _json_int, induced_subgraph
 from .lp import LinearProgram, solve_covering_lp, solve_covering_stacks
 from .reports import CheckRecord
 from .spectral import betti_profile
@@ -99,8 +99,8 @@ class HypergraphFamily:
 
 def hypergraph_from_json_dict(data: dict) -> Hypergraph:
     try:
-        ground = int(data["ground"])
-        edges = [[int(v) for v in e] for e in data["edges"]]
+        ground = _json_int(data["ground"])
+        edges = [[_json_int(v) for v in e] for e in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad hypergraph JSON: {exc}") from exc
     try:
@@ -111,14 +111,14 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
 
 def family_from_json_dict(data: dict) -> HypergraphFamily:
     try:
-        ground = int(data["ground"])
+        ground = _json_int(data["ground"])
         lists = data["hypergraphs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad family JSON: {exc}") from exc
     members = []
     for lst in lists:
         try:
-            members.append(Hypergraph(ground, [[int(v) for v in e] for e in lst]))
+            members.append(Hypergraph(ground, [[_json_int(v) for v in e] for e in lst]))
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"bad family member: {exc}") from exc
     if not members:

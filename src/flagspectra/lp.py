@@ -4,9 +4,14 @@ square, solved with primal-dual certification.
 Every LP the package solves has this form: the strong-domination LP, the
 Gram LP of a vector representation and the incidence-Gram LP of the
 fractional width.  One core solves them all, a two-phase primal simplex on
-dense tableaus with Bland's entering rule, which the frequently degenerate
-Gram-matrix instances need for termination.  Optimal solutions always carry
-a dual vector, and feasibility of both sides plus the duality gap are
+dense tableaus with Bland's rule, which the frequently degenerate
+Gram-matrix instances need for termination.  The entering column is the
+first whose reduced cost is below -FEAS_TOL.  The leaving row is, among
+the rows whose ratio lies within 1e-12 of the minimum ratio, the one with
+the smallest basic index; the window is anchored at the minimum, so the
+choice does not depend on scan order, and the scalar loop and the lockstep
+stack compute it with the same float operations.  Optimal solutions always
+carry a dual vector, and feasibility of both sides plus the duality gap are
 checked before a solution is returned.
 
 The core takes (k, r, r) stacks of equal-size matrices, pads them to one
@@ -72,20 +77,19 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 
 def _ratio_row(column, rhs, basis):
-    """Minimum-ratio row for an entering column, given as lists of its
-    constraint-row entries and of the right-hand sides, or -1 when none
-    bounds it.
+    """Leaving row for an entering column, given as lists of its
+    constraint-row entries and of the right-hand sides, or -1 when no entry
+    is positive.
 
-    Ratios within 1e-12 of the running best count as ties, and a tie goes
-    to the smaller basic index (Bland's leaving rule).
+    Every ratio within 1e-12 of the minimum ratio is a tie, and a tie goes
+    to the smallest basic index (Bland's leaving rule).
     """
+    ratios = [(rhs[i] / a, i) for i, a in enumerate(column) if a > FEAS_TOL]
     row = -1
-    best = None
-    for i, a in enumerate(column):
-        if a > FEAS_TOL:
-            ratio = rhs[i] / a
-            if best is None or ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < basis[row]):
-                best = ratio
+    if ratios:
+        window = min(ratios)[0] + 1e-12
+        for ratio, i in ratios:
+            if ratio <= window and (row < 0 or basis[i] < basis[row]):
                 row = i
     return row
 
@@ -143,9 +147,6 @@ def solve_covering_lp(lp: LinearProgram, iteration_cap: int | None = None) -> LP
 # family (at most 15 LPs of 12 rows) fits in one batch, and a step's
 # temporaries, each the size of the tableau, stay small enough for the cache.
 BATCH_BYTES = 256 * 1024
-# caps the minimum ratio of a column with no positive entry, so that
-# `ratio - best` never computes inf - inf
-_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _lockstep(t, basis, live, iters, caps):
@@ -216,17 +217,12 @@ def _step(t, basis, iters, caps, live, col, product):
     by_ratio = ~evict.any(axis=1)
     positive = a > FEAS_TOL
     ratio = np.divide(rhs, a, out=np.full_like(a, np.inf), where=positive)
-    best = np.minimum(ratio.min(axis=1, keepdims=True), _FLOAT_MAX)
-    tie = ratio == best
+    # _ratio_row's window; where no entry is positive, best is inf and the
+    # instance is marked stuck before any pivot reads its row
+    best = ratio.min(axis=1, keepdims=True)
+    tie = ratio <= best + 1e-12
     row = np.where(np.where(by_ratio[:, None], tie, evict), basis, 3 * n).argmin(axis=1)
-    by_ratio &= live
-    # _ratio_row counts ratios within 1e-12 of its running best as ties,
-    # so where one is that close to the minimum without equal to it, its
-    # choice may differ from the exact minimum: replay the scan there
-    near = ~tie & ((ratio - best <= 1e-12) | (ratio - 1e-12 <= best))
-    for k in (by_ratio & near.any(axis=1)).nonzero()[0]:
-        row[k] = _ratio_row(t[k, :n, col[k]].tolist(), rhs[k].tolist(), basis[k])
-    stuck = by_ratio & ~positive.any(axis=1)
+    stuck = by_ratio & live & ~positive.any(axis=1)
     live &= ~stuck
     # _pivot on every live tableau; factor is column col as gathered above,
     # zeroed on the pivot row and on finished instances

@@ -400,6 +400,41 @@ class TestExitCodes:
         assert "expected an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, payload, message",
+        [
+            (["sdr", "--family"], {"ground": 3, "hypergraphs": [[[0.7, 1]], [[1, 2]]]}, "bad family member: expected an integer, got 0.7"),
+            (["sdr", "--family"], {"ground": 3, "hypergraphs": [[[0, "1"]], [[1, 2]]]}, "bad family member: expected an integer, got '1'"),
+            (["sdr", "--family"], {"ground": 3, "hypergraphs": [[[0, 1]], [[True, 2]]]}, "bad family member: expected an integer, got True"),
+            (["sdr", "--family"], {"ground": 3.9, "hypergraphs": [[[0, 1]], [[1, 2]]]}, "bad family JSON: expected an integer, got 3.9"),
+            (["sdr", "--family"], {"ground": "3", "hypergraphs": [[[0, 1]], [[1, 2]]]}, "bad family JSON: expected an integer, got '3'"),
+            (["width", "--hypergraph"], {"ground": 4, "edges": [[0.5, 1], [2, 3]]}, "bad hypergraph JSON: expected an integer, got 0.5"),
+            (["width", "--hypergraph"], {"ground": 4, "edges": [[0, 1], [2, "3"]]}, "bad hypergraph JSON: expected an integer, got '3'"),
+            (["width", "--hypergraph"], {"ground": 4, "edges": [[0, 1], [False, 3]]}, "bad hypergraph JSON: expected an integer, got False"),
+            (["width", "--hypergraph"], {"ground": 4.0, "edges": [[0, 1], [2, 3]]}, "bad hypergraph JSON: expected an integer, got 4.0"),
+            (["width", "--hypergraph"], {"ground": "4", "edges": [[0, 1], [2, 3]]}, "bad hypergraph JSON: expected an integer, got '4'"),
+        ],
+        ids=[
+            "family-float-vertex",
+            "family-string-vertex",
+            "family-bool-vertex",
+            "family-float-ground",
+            "family-string-ground",
+            "hypergraph-float-vertex",
+            "hypergraph-string-vertex",
+            "hypergraph-bool-vertex",
+            "hypergraph-float-ground",
+            "hypergraph-string-ground",
+        ],
+    )
+    def test_hypergraph_json_not_coerced(self, argv, payload, message, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(payload))
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
         "name, raw, argv",
         [
             ("FLAGSPECTRA_SIMPLEX_CAP", "abc", ["spectra", "--cycle", "5"]),

@@ -1,11 +1,16 @@
 """Eigensolver and rank routines.
 
 Eigenvalues are checked against closed-form spectra, since numpy's
-eigvalsh is the implementation under test; ranks against numpy's SVD rank.
+eigvalsh is the implementation under test; ranks against numpy's SVD rank
+and sympy's exact rational rank.
 """
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flagspectra import (
     Graph,
@@ -17,6 +22,21 @@ from flagspectra import (
     turan_graph,
 )
 from flagspectra.complexes import coboundary_matrix, build_flag_complex
+
+
+# graphs on 1-7 vertices from arbitrary vertex pairs (loops dropped)
+graphs_up_to_7 = st.integers(1, 7).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+        lambda pairs: Graph(n, [(u, v) for u, v in pairs if u != v])
+    )
+)
+small_int_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(-3, 3))
+)
+
+
+def sympy_rank(a):
+    return sympy.Matrix(*a.shape, a.ravel().tolist()).rank()
 
 
 def random_symmetric(n, seed):
@@ -118,3 +138,18 @@ class TestIntegerRank:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             integer_rank(np.zeros((2, 2)))
+
+
+class TestIntegerRankAgainstSympy:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(graphs_up_to_7)
+    def test_coboundaries(self, g):
+        x = build_flag_complex(g, max_dim=g.n - 1)
+        for k in range(-1, x.max_dim):
+            d = coboundary_matrix(x, k)
+            assert integer_rank(d) == sympy_rank(d)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_int_matrices)
+    def test_random_int_matrices(self, a):
+        assert integer_rank(a) == sympy_rank(a)

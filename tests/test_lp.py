@@ -176,6 +176,60 @@ class TestPivot:
         assert basis == expected_basis
 
 
+def step_leaving_rows(column, rhs, basis):
+    """The rows one `_step` pivots on for entering column 0, on a stack of
+    two tableaus: the given one and the same with its rows reversed."""
+    n = len(column)
+    t = np.zeros((2, n + 1, 2 * n + 1))
+    t[0, :n, 0], t[0, :n, -1], t[:, n, 0] = column, rhs, -1.0
+    t[1, :n] = t[0, n - 1 :: -1]
+    basis = np.array([basis, basis[::-1]], dtype=np.int64)
+    iters, caps, col = np.zeros(2, dtype=np.int64), np.full(2, 10), np.zeros(2, dtype=np.int64)
+    stuck = lp_module._step(t, basis, iters, caps, np.ones(2, dtype=bool), col, np.empty_like(t))
+    assert not stuck.any()
+    return [row.tolist().index(0) for row in basis]
+
+
+@st.composite
+def clustered_columns(draw):
+    """An entering column, right-hand sides whose ratios lie within 4e-12 of
+    each other, and distinct basic indices other than the column's own."""
+    n = draw(st.integers(1, 8))
+    base = draw(st.floats(0.1, 10.0))
+    column, rhs = [], []
+    for _ in range(n):
+        a = draw(st.sampled_from([0.0, -1.0, 1e-10]) | st.floats(0.25, 4.0))
+        column.append(a)
+        if a > lp_module.FEAS_TOL:
+            rhs.append((base + draw(st.integers(0, 40)) * 1e-13) * a)
+        else:
+            rhs.append(draw(st.floats(0.1, 10.0)))
+    assume(max(column) > lp_module.FEAS_TOL)
+    basis = draw(st.permutations(range(1, 2 * n)))[:n]
+    return column, rhs, basis
+
+
+class TestLeavingRule:
+    def test_window_is_anchored_at_the_minimum(self):
+        # ratios 1, 1 + 0.9e-12 and 1 + 1.8e-12 at basic indices 5, 3 and 1:
+        # a window anchored at a running best drifts up the chain to the
+        # third row, 1.8e-12 above the minimum; anchored at the minimum it
+        # holds the first two, and the second has the smaller basic index
+        column, rhs, basis = [1.0, 1.0, 1.0], [1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12], [5, 3, 1]
+        assert lp_module._ratio_row(column, rhs, basis) == 1
+        assert step_leaving_rows(column, rhs, basis) == [1, 1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(clustered_columns())
+    def test_smallest_basic_index_within_the_window(self, drawn):
+        column, rhs, basis = drawn
+        ratios = {i: rhs[i] / a for i, a in enumerate(column) if a > lp_module.FEAS_TOL}
+        window = min(ratios.values()) + 1e-12
+        expected = min((i for i in ratios if ratios[i] <= window), key=lambda i: basis[i])
+        assert lp_module._ratio_row(column, rhs, basis) == expected
+        assert step_leaving_rows(column, rhs, basis) == [expected, len(column) - 1 - expected]
+
+
 class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="square"):
@@ -326,31 +380,21 @@ class TestBatch:
         for batched in stacked([a, a]):
             assert_bitwise_equal(batched, single)
 
-    def test_near_tie_replays_the_sequential_scan(self, monkeypatch):
-        # column 0 has ratios 1 and 1/(1 + 1e-13): the scan keeps row 0 as a
-        # tie within 1e-12, while the exact minimum is row 1
-        replays = []
-        stepping = []
-        original_step, original_scan = lp_module._step, lp_module._ratio_row
+    def test_near_tie_matches_single_solves(self, monkeypatch):
+        # column 0 has ratios 1 and 1/(1 + 1e-13), a tie within 1e-12 that
+        # `_step` resolves in the stack and `_run` in the single solve
+        stepped = []
+        original = lp_module._step
 
         def step(*args):
-            stepping.append(True)
-            try:
-                return original_step(*args)
-            finally:
-                stepping.pop()
-
-        def scan(*args):
-            if stepping:
-                replays.append(args)
-            return original_scan(*args)
+            stepped.append(True)
+            return original(*args)
 
         a = [[1.0, 1.0], [1.0 + 1e-13, 1.0]]
         single = solve_covering_lp(make(a))
         monkeypatch.setattr(lp_module, "_step", step)
-        monkeypatch.setattr(lp_module, "_ratio_row", scan)
         batched = stacked([a, np.eye(3)])[0]
-        assert replays
+        assert stepped
         assert_bitwise_equal(batched, single)
 
     def test_iteration_cap_stalls_like_single_solves(self):

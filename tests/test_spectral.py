@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from flagspectra import (
     Graph,
@@ -31,6 +32,7 @@ from flagspectra import (
     verify_facet_degree_bound,
     verify_vanishing_threshold,
 )
+from flagspectra.complexes import coboundary_matrix
 from flagspectra.spectral import facet_degree_excess
 
 
@@ -48,12 +50,16 @@ def reduced_euler_characteristic(x):
     return sum((-1) ** k * len(x.skeleta[k]) for k in range(x.max_dim + 1)) - 1
 
 
-# graphs on 1-9 vertices from arbitrary vertex pairs (loops dropped)
-small_graphs = st.integers(1, 9).flatmap(
-    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
-        lambda pairs: Graph(n, [(u, v) for u, v in pairs if u != v])
+def graphs_on(most):
+    """Graphs on 1 to `most` vertices from arbitrary vertex pairs (loops dropped)."""
+    return st.integers(1, most).flatmap(
+        lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+            lambda pairs: Graph(n, [(u, v) for u, v in pairs if u != v])
+        )
     )
-)
+
+
+small_graphs = graphs_on(9)
 
 
 class TestHodgeLaplacian:
@@ -84,6 +90,25 @@ class TestHodgeLaplacian:
                 if not x.skeleta[k]:
                     break
                 assert symmetric_eigenvalues(hodge_laplacian(x, k))[0] >= -1e-9
+
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(graphs_on(7), st.data())
+    def test_matches_sparse_coboundary_products(self, g, data):
+        # the up term is the zero map at the top enumerated dimension
+        x = build_flag_complex(g, max_dim=data.draw(st.integers(0, g.n - 1)))
+        for k in range(x.max_dim + 1):
+            if not x.skeleta[k]:
+                break
+            below = sparse.csr_array(coboundary_matrix(x, k - 1))
+            if k < x.max_dim:
+                above = sparse.csr_array(coboundary_matrix(x, k))
+            else:
+                above = sparse.csr_array((0, len(x.skeleta[k])), dtype=np.int64)
+            expected = (below @ below.T + above.T @ above).toarray()
+            got = hodge_laplacian(x, k)
+            assert got.dtype == expected.dtype == np.int64
+            assert np.array_equal(got, expected)
 
 
 class TestMinEigenvalue:
