@@ -21,6 +21,7 @@ from flagspectra import (
     independence_connectivity,
     independent_domination_number,
     lambda_max,
+    representation_value,
     total_domination_number,
     verify_gram_row_bound,
     verify_spectral_connectivity_bound,
@@ -44,7 +45,7 @@ print(f"  {frac.parameter:33s} = {frac.value:.4f} (n/4 = 1.5)")
 section("Two representations of the 6-cycle and their values")
 incidence = edge_incidence_representation(g)
 cyc = cycle_representation(2)
-bound = best_representation_value(g, [incidence, cyc])
+bound = best_representation_value([representation_value(incidence), representation_value(cyc)])
 print(f"  edge incidence value = {fractional_strong_domination(g).value:.4f} (equals the LP above)")
 print(f"  explicit cycle construction value = 2.0")
 print(f"  best certified lower bound = {bound.value:.4f}")

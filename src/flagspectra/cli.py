@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import corpus as corpus_mod
 from .complexes import DEFAULT_SIMPLEX_CAP, build_flag_complex
@@ -72,30 +71,6 @@ from .spectral import (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed: int
-    max_dim: int | None
-    simplex_cap: int
-    exact_cap: int
-    indep_cap: int
-    width_cap: int
-    family_cap: int
-    recursion_tol: float
-    strict_tol: float
-    output: str | None
-    fmt: str
-
-    def describe(self) -> str:
-        return (
-            f"seed={self.seed} max_dim={self.max_dim} simplex_cap={self.simplex_cap} "
-            f"exact_cap={self.exact_cap} indep_cap={self.indep_cap} "
-            f"width_cap={self.width_cap} family_cap={self.family_cap} "
-            f"recursion_tol={self.recursion_tol:g} strict_tol={self.strict_tol:g}"
-        )
-
-
 # The options whose defaults come from the environment: (option, variable,
 # default when both are unset).  They are read per request, not baked into
 # the shared parser.
@@ -126,18 +101,19 @@ def _option(dest: str) -> str:
 
 
 def _resolve_options(args, env: dict) -> None:
-    """Fill the env-backed options the command line left unset, then reject
-    negative counts and caps and tolerances that are negative or not finite."""
+    """Fill the env-backed options of the command that the command line left
+    unset, then reject negative counts and caps and tolerances that are
+    negative or not finite."""
     for dest, value in env.items():
-        if getattr(args, dest) is None:
+        if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
     for dest in (*env, "graphs", "families"):
         value = getattr(args, dest, None)
         if value is not None and value < 0:
             raise InputFormatError(f"{_option(dest)} must be nonnegative, got {value}")
     for dest in ("recursion_tol", "strict_tol"):
-        value = getattr(args, dest)
-        if not (math.isfinite(value) and value >= 0):
+        value = getattr(args, dest, None)
+        if value is not None and not (math.isfinite(value) and value >= 0):
             raise InputFormatError(f"{_option(dest)} must be finite and nonnegative, got {value!r}")
 
 
@@ -151,10 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=42, help="master seed, recorded in the output")
+    # dump-complex reads only these three; the record commands read them all
+    def add_complex_options(p):
         p.add_argument("--max-dim", type=int, help="dimension cap for complexes")
         p.add_argument("--simplex-cap", type=int, help="per-dimension simplex count cap")
+        p.add_argument("--output", default=None, help="output path (default: stdout)")
+
+    def add_common(p):
+        add_complex_options(p)
+        p.add_argument("--seed", type=int, default=42, help="master seed, recorded in the output")
         p.add_argument("--exact-cap", type=int, help="vertex cap for exact domination searches")
         p.add_argument("--indep-cap", type=int, help="vertex cap for the independent domination search")
         p.add_argument("--width-cap", type=int, help="edge cap for exact width searches")
@@ -173,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=1e-7,
             help="strictness tolerance for fractional-width margins",
         )
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     def add_graph_source(p):
@@ -215,55 +195,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-complex", help="dump enumerated skeleta as JSON")
     add_graph_source(p)
     p.add_argument("--independence", action="store_true")
-    add_common(p)
+    add_complex_options(p)
 
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        seed=args.seed,
-        max_dim=args.max_dim,
-        simplex_cap=args.simplex_cap,
-        exact_cap=args.exact_cap,
-        indep_cap=args.indep_cap,
-        width_cap=args.width_cap,
-        family_cap=args.family_cap,
-        recursion_tol=args.recursion_tol,
-        strict_tol=args.strict_tol,
-        output=args.output,
-        fmt=args.fmt,
-    )
-
-
-def _resolve_graph(args, simplex_cap: int) -> tuple[str, Graph]:
+def _resolve_graph(args) -> tuple[str, Graph]:
     if args.graph is not None:
-        return args.graph, load_graph(args.graph, simplex_cap)
+        return args.graph, load_graph(args.graph, args.simplex_cap)
     if args.turan is not None:
         r, ell = args.turan
-        check_vertex_count(r * ell, simplex_cap)
+        check_vertex_count(r * ell, args.simplex_cap)
         return f"turan({r},{ell})", turan_graph(r, ell)
     if args.cycle is not None:
-        check_vertex_count(args.cycle, simplex_cap)
+        check_vertex_count(args.cycle, args.simplex_cap)
         return f"cycle({args.cycle})", cycle_graph(args.cycle)
     if args.complete is not None:
-        check_vertex_count(args.complete, simplex_cap)
+        check_vertex_count(args.complete, args.simplex_cap)
         return f"complete({args.complete})", complete_graph(args.complete)
     if args.gnp is not None:
         n, p, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
-        check_vertex_count(n, simplex_cap)
+        check_vertex_count(n, args.simplex_cap)
         return f"gnp(n={n},p={p},seed={seed})", random_gnp(n, p, seed)
     raise InputFormatError("no graph source given")
 
 
-def _meta_record(cfg: RunConfig, instance: str) -> CheckRecord:
+def _meta_record(args, instance: str) -> CheckRecord:
     return CheckRecord(
         check="run_config",
         claim="configuration recorded for reproducibility",
         instance=instance,
         passed=True,
-        detail=cfg.describe(),
+        detail=(
+            f"seed={args.seed} max_dim={args.max_dim} simplex_cap={args.simplex_cap} "
+            f"exact_cap={args.exact_cap} indep_cap={args.indep_cap} "
+            f"width_cap={args.width_cap} family_cap={args.family_cap} "
+            f"recursion_tol={args.recursion_tol:g} strict_tol={args.strict_tol:g}"
+        ),
     )
 
 
@@ -274,14 +242,13 @@ def _value_record(check: str, claim: str, instance: str, value: float, k: int | 
 
 
 def cmd_spectra(args) -> list[CheckRecord]:
-    cfg = _config_from_args(args)
-    label, g = _resolve_graph(args, cfg.simplex_cap)
+    label, g = _resolve_graph(args)
     base = complement(g) if args.independence else g
     if args.independence:
         label = f"independence({label})"
-    records = [_meta_record(cfg, label)]
-    max_dim = cfg.max_dim if cfg.max_dim is not None else base.n - 1
-    x = build_flag_complex(base, max_dim=max_dim, simplex_cap=cfg.simplex_cap)
+    records = [_meta_record(args, label)]
+    max_dim = args.max_dim if args.max_dim is not None else base.n - 1
+    x = build_flag_complex(base, max_dim=max_dim, simplex_cap=args.simplex_cap)
     profile = betti_profile(x)
     spectrum = laplacian_spectrum(base)
     if base.n >= 2:
@@ -312,11 +279,19 @@ def cmd_spectra(args) -> list[CheckRecord]:
             detail=eta.describe(),
         )
     )
-    records.extend(verify_eigenvalue_recursion(profile, base.n, instance=label, tol=cfg.recursion_tol))
+    records.extend(verify_eigenvalue_recursion(profile, base.n, instance=label, tol=args.recursion_tol))
     if base.n >= 2:
         records.extend(verify_vanishing_threshold(profile, float(spectrum[1]), base.n, instance=label))
     records.extend(verify_facet_degree_bound(x, instance=label))
     return records
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def _parse_reps(spec: str, g: Graph):
@@ -334,9 +309,7 @@ def _parse_reps(spec: str, g: Graph):
                 raise InputFormatError("cycle representation requires the cycle graph on 3k vertices")
             reps.append(cycle_representation(g.n // 3))
         elif part.startswith("file:"):
-            path = part[5:]
-            with open(path, "r", encoding="utf-8") as fh:
-                reps.append(representation_from_json_dict(g, json.load(fh)))
+            reps.append(representation_from_json_dict(g, _load_json(part[5:])))
         else:
             raise InputFormatError(f"unknown representation {part!r}")
         names.append(part)
@@ -346,13 +319,12 @@ def _parse_reps(spec: str, g: Graph):
 
 
 def cmd_domination(args) -> list[CheckRecord]:
-    cfg = _config_from_args(args)
-    label, g = _resolve_graph(args, cfg.simplex_cap)
-    records = [_meta_record(cfg, label)]
+    label, g = _resolve_graph(args)
+    records = [_meta_record(args, label)]
     for fn, cap in (
-        (domination_number, cfg.exact_cap),
-        (total_domination_number, cfg.exact_cap),
-        (independent_domination_number, cfg.indep_cap),
+        (domination_number, args.exact_cap),
+        (total_domination_number, args.exact_cap),
+        (independent_domination_number, args.indep_cap),
     ):
         try:
             rep = fn(g, cap=cap)
@@ -372,6 +344,7 @@ def cmd_domination(args) -> list[CheckRecord]:
     )
     names, reps = _parse_reps(args.reps, g)
     lam = lambda_max(g)
+    values = []
     for name, rep in zip(names, reps):
         if rep is None:
             records.append(
@@ -384,19 +357,18 @@ def cmd_domination(args) -> list[CheckRecord]:
                 )
             )
             continue
-        value = representation_value(rep)
+        values.append(representation_value(rep))
         records.append(
             _value_record(
                 "representation_value",
                 "covering optimum over the representation Gram matrix",
                 f"{label} rep={name}",
-                float(value.value),
+                float(values[-1].value),
             )
         )
         records.append(verify_gram_row_bound(lam, rep, instance=f"{label} rep={name}"))
-    reps = [rep for rep in reps if rep is not None]
-    if reps:
-        bound = best_representation_value(g, reps)
+    if values:
+        bound = best_representation_value(values)
         records.append(
             _value_record(
                 bound.parameter,
@@ -405,23 +377,18 @@ def cmd_domination(args) -> list[CheckRecord]:
                 float(bound.value),
             )
         )
-    eta = independence_connectivity(g, simplex_cap=cfg.simplex_cap)
+    eta = independence_connectivity(g, simplex_cap=args.simplex_cap)
     records.append(verify_spectral_connectivity_bound(g.n, lam, eta, instance=label))
-    if reps:
+    if values:
         records.append(verify_representation_connectivity_bound(bound, eta, instance=label))
     return records
 
 
 def cmd_sdr(args) -> list[CheckRecord]:
-    cfg = _config_from_args(args)
-    with open(args.family, "r", encoding="utf-8") as fh:
-        try:
-            fam = family_from_json_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{args.family}: {exc}") from exc
     label = args.family
-    records = [_meta_record(cfg, label)]
-    sweep = sweep_family(fam, width_cap=cfg.width_cap, family_cap=cfg.family_cap)
+    fam = family_from_json_dict(_load_json(label))
+    records = [_meta_record(args, label)]
+    sweep = sweep_family(fam, width_cap=args.width_cap, family_cap=args.family_cap)
     search = sweep.search
     records.append(
         CheckRecord(
@@ -436,20 +403,15 @@ def cmd_sdr(args) -> list[CheckRecord]:
             ),
         )
     )
-    records.extend(compare_width_conditions(sweep, instance=label, tol=cfg.strict_tol))
+    records.extend(compare_width_conditions(sweep, instance=label, tol=args.strict_tol))
     return records
 
 
 def cmd_width(args) -> list[CheckRecord]:
-    cfg = _config_from_args(args)
-    with open(args.hypergraph, "r", encoding="utf-8") as fh:
-        try:
-            h = hypergraph_from_json_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{args.hypergraph}: {exc}") from exc
     label = args.hypergraph
-    records = [_meta_record(cfg, label)]
-    w, witness = width(h, cap=cfg.width_cap)
+    h = hypergraph_from_json_dict(_load_json(label))
+    records = [_meta_record(args, label)]
+    w, witness = width(h, cap=args.width_cap)
     records.append(
         _value_record("width", "fewest edges meeting every edge", label, float(w), detail=f"witness edges {witness}")
     )
@@ -482,23 +444,22 @@ def cmd_width(args) -> list[CheckRecord]:
 
 
 def cmd_corpus(args) -> list[CheckRecord]:
-    cfg = _config_from_args(args)
-    records = [_meta_record(cfg, f"corpus(seed={cfg.seed})")]
+    records = [_meta_record(args, f"corpus(seed={args.seed})")]
     sizes = tuple(n for n in corpus_mod.GNP_SIZES if n <= args.nmax)
     if args.graphs > 0 and not sizes:
         raise InputFormatError(
             f"--nmax {args.nmax} leaves no random graph size (smallest is {corpus_mod.GNP_SIZES[0]})"
         )
-    graphs = corpus_mod.gnp_corpus(count=args.graphs, seed=cfg.seed, sizes=sizes)
+    graphs = corpus_mod.gnp_corpus(count=args.graphs, seed=args.seed, sizes=sizes)
     graphs += corpus_mod.turan_corpus()
     graphs += corpus_mod.cycle_corpus()
     for label, g in graphs:
         try:
-            x = build_flag_complex(g, max_dim=g.n - 1, simplex_cap=cfg.simplex_cap)
+            x = build_flag_complex(g, max_dim=g.n - 1, simplex_cap=args.simplex_cap)
             profile = betti_profile(x)  # raises on kernel/rank disagreement
             spectrum = laplacian_spectrum(g)
             gap, lam = float(spectrum[1]), float(spectrum[-1])
-            records.extend(verify_eigenvalue_recursion(profile, g.n, instance=label, tol=cfg.recursion_tol))
+            records.extend(verify_eigenvalue_recursion(profile, g.n, instance=label, tol=args.recursion_tol))
             records.extend(verify_vanishing_threshold(profile, gap, g.n, instance=label))
             records.append(
                 CheckRecord(
@@ -534,19 +495,19 @@ def cmd_corpus(args) -> list[CheckRecord]:
                 )
             )
             records.extend(verify_facet_degree_bound(x, instance=label))
-            eta = independence_connectivity(g, simplex_cap=cfg.simplex_cap)
+            eta = independence_connectivity(g, simplex_cap=args.simplex_cap)
             records.append(verify_spectral_connectivity_bound(g.n, lam, eta, instance=label))
             if g.num_edges:
                 rep = edge_incidence_representation(g)
                 records.append(verify_gram_row_bound(lam, rep, instance=label))
-                bound = best_representation_value(g, [rep])
+                bound = best_representation_value([representation_value(rep)])
                 records.append(verify_representation_connectivity_bound(bound, eta, instance=label))
         except (CapExceeded, RuntimeError, ValueError) as exc:
             records.append(_error_record(label, exc))
-    for label, fam in corpus_mod.family_corpus(count=args.families, seed=cfg.seed):
+    for label, fam in corpus_mod.family_corpus(count=args.families, seed=args.seed):
         try:
-            sweep = sweep_family(fam, width_cap=cfg.width_cap, family_cap=cfg.family_cap)
-            records.extend(verify_fractional_width_condition(sweep, instance=label, tol=cfg.strict_tol))
+            sweep = sweep_family(fam, width_cap=args.width_cap, family_cap=args.family_cap)
+            records.extend(verify_fractional_width_condition(sweep, instance=label, tol=args.strict_tol))
             records.extend(verify_integral_width_condition(sweep, instance=label))
         except (CapExceeded, RuntimeError, ValueError) as exc:
             records.append(_error_record(label, exc))
@@ -592,11 +553,10 @@ def _summaries(records) -> list[CheckRecord]:
 
 
 def cmd_dump_complex(args) -> str:
-    cfg = _config_from_args(args)
-    label, g = _resolve_graph(args, cfg.simplex_cap)
+    label, g = _resolve_graph(args)
     base = complement(g) if args.independence else g
-    max_dim = cfg.max_dim if cfg.max_dim is not None else base.n - 1
-    x = build_flag_complex(base, max_dim=max_dim, simplex_cap=cfg.simplex_cap)
+    max_dim = args.max_dim if args.max_dim is not None else base.n - 1
+    x = build_flag_complex(base, max_dim=max_dim, simplex_cap=args.simplex_cap)
     payload = {
         "instance": label if not args.independence else f"independence({label})",
         "dims": list(x.counts()),
@@ -636,7 +596,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 3
-    except (InputFormatError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (InputFormatError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except RuntimeError as exc:

@@ -208,18 +208,17 @@ def validate_representation(rep: VectorRepresentation, tol: float = GRAM_TOL) ->
     return True
 
 
-def representation_lp(rep: VectorRepresentation) -> LinearProgram:
-    return LinearProgram(rep.gram().astype(np.float64))
-
-
 def representation_value(rep: VectorRepresentation) -> DominationReport:
     """Covering optimum of alpha . 1 over alpha >= 0 with alpha Gram >= 1.
 
-    The characteristic vector of any totally dominating set is feasible, so
-    the LP is infeasible only when the graph has an isolated vertex; that
-    case reports the infinity marker.
+    Every representation value passes through here, so the Gram conditions
+    are checked here, once.  The characteristic vector of any totally
+    dominating set is feasible, so the LP is infeasible only when the graph
+    has an isolated vertex; that case reports the infinity marker.
     """
-    solution = solve_covering_lp(representation_lp(rep))
+    if not validate_representation(rep):
+        raise ValueError("representation violates the Gram conditions")
+    solution = solve_covering_lp(LinearProgram(rep.gram().astype(np.float64)))
     if solution.status == "infeasible":
         return DominationReport(
             "representation_value", math.inf, None, notes=f"infeasible: {solution.notes}"
@@ -268,30 +267,20 @@ def cycle_representation(k: int) -> VectorRepresentation:
     return VectorRepresentation(g, mat)
 
 
-def best_representation_value(g: Graph, reps: Iterable[VectorRepresentation]) -> DominationReport:
-    """Largest value among the supplied representations.
+def best_representation_value(values: Iterable[DominationReport]) -> DominationReport:
+    """The first largest of the supplied representation_value reports.
 
     This is a certified lower bound for the supremum over all representations
     (never the supremum itself, which no finite procedure here computes).
     """
-    reps = list(reps)
-    if not reps:
+    values = list(values)
+    if not values:
         raise ValueError("need at least one representation")
-    best = None
-    best_rep = None
-    for i, rep in enumerate(reps):
-        if rep.graph != g:
-            raise ValueError(f"representation {i} is not over the given graph")
-        if not validate_representation(rep):
-            raise ValueError(f"representation {i} violates the Gram conditions")
-        report = representation_value(rep)
-        if best is None or report.value > best.value:
-            best = report
-            best_rep = i
+    best = max(range(len(values)), key=lambda i: values[i].value)
     return DominationReport(
         "representation_value_lower_bound",
-        best.value,
-        {"representation": best_rep, "weights": best.witness},
+        values[best].value,
+        {"representation": best, "weights": values[best].witness},
         notes="lower bound from supplied representations only",
     )
 
@@ -343,9 +332,8 @@ def verify_gram_row_bound(
     lam: float, rep: VectorRepresentation, instance: str = "", tol: float = BOUND_TOL
 ) -> CheckRecord:
     """lambda_max of the representation's graph is at most the largest row
-    sum of the representation Gram matrix."""
-    if not validate_representation(rep):
-        raise ValueError("representation violates the Gram conditions")
+    sum of the representation Gram matrix.  The representation must satisfy
+    the Gram conditions, which representation_value checks."""
     row_sums = rep.gram().astype(np.float64).sum(axis=1)
     bound = float(row_sums.max())
     return CheckRecord(

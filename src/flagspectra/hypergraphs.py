@@ -198,7 +198,6 @@ class SdrSearch:
     """
 
     representatives: tuple[tuple[int, ...], ...] | None
-    choices: tuple[int, ...] | None
     nodes_visited: int
     transcript_hash: str
 
@@ -237,8 +236,8 @@ def sdr_search(fam: HypergraphFamily, family_cap: int = SDR_FAMILY_CAP) -> SdrSe
             mask = member_masks[i][j]
             assert mask & used == 0  # witness re-check: pairwise disjoint
             used |= mask
-        return SdrSearch(reps, tuple(chosen), nodes, transcript.hexdigest())
-    return SdrSearch(None, None, nodes, transcript.hexdigest())
+        return SdrSearch(reps, nodes, transcript.hexdigest())
+    return SdrSearch(None, nodes, transcript.hexdigest())
 
 
 def find_sdr(fam: HypergraphFamily, family_cap: int = SDR_FAMILY_CAP):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import flagspectra.cli as cli
+import flagspectra.domination as domination
 import flagspectra.hypergraphs as hypergraphs
 from flagspectra import cycle_graph, turan_graph
 from flagspectra.cli import main
@@ -173,6 +174,40 @@ class TestDomination:
             '{"check": "connectivity_representation_bound", "claim": "eta(independence complex) >= value of every representation", "instance": "p3.json", "k": null, "lhs": 1, "rhs": 1, "slack": -1.00008890058e-12, "pass": true, "detail": ""}\n'
         )
 
+    def test_representation_breaking_gram_conditions_rejected(self, capsys, tmp_path):
+        # v0 . v1 = 0.5 on the edge 01, below the required 1
+        gpath = tmp_path / "p3.json"
+        gpath.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        rpath = tmp_path / "bad.json"
+        rpath.write_text(json.dumps({"dim": 2, "vectors": [[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]]}))
+        code = main(["domination", "--graph", str(gpath), "--reps", f"file:{rpath}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: representation violates the Gram conditions\n"
+
+    @pytest.mark.parametrize(
+        "argv, solves, validations",
+        [
+            (["domination", "--cycle", "6", "--reps", "edge-incidence,cycle"], 3, 2),
+            # five Turan and ten cycle graphs, each with edges; no random graph or family
+            (["corpus", "--graphs", "0", "--families", "0"], 15, 15),
+        ],
+        ids=["domination", "corpus"],
+    )
+    def test_each_representation_validated_and_solved_once(self, argv, solves, validations, capsys, monkeypatch):
+        counts = {"solve_covering_lp": 0, "validate_representation": 0}
+        for name in counts:
+
+            def counted(*args, _name=name, _original=getattr(domination, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(domination, name, counted)
+        code, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert counts == {"solve_covering_lp": solves, "validate_representation": validations}
+
     def test_isolated_vertex_names_its_zero_row(self, capsys, tmp_path):
         path = tmp_path / "isolated.json"
         path.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
@@ -303,6 +338,38 @@ class TestDumpComplex:
         assert payload["dims"] == [3, 3, 1]
         assert payload["skeleta"]["2"] == [[0, 1, 2]]
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--seed", "5"],
+            ["--exact-cap", "1"],
+            ["--indep-cap", "1"],
+            ["--width-cap", "1"],
+            ["--family-cap", "1"],
+            ["--recursion-tol", "3"],
+            ["--strict-tol", "3"],
+            ["--format", "csv"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_rejects_options_it_does_not_read(self, option, capsys):
+        assert main(["dump-complex", "--complete", "3", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {' '.join(option)}" in captured.err
+
+    def test_environment_read_and_checked(self, monkeypatch, capsys):
+        monkeypatch.setenv("FLAGSPECTRA_MAX_DIM", "1")
+        monkeypatch.setenv("FLAGSPECTRA_WIDTH_CAP", "5")
+        code, out = run_cli(["dump-complex", "--complete", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["dims"] == [3, 3]
+        monkeypatch.setenv("FLAGSPECTRA_WIDTH_CAP", "abc")
+        assert main(["dump-complex", "--complete", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: environment variable FLAGSPECTRA_WIDTH_CAP ")
+
 
 class TestCorpus:
     def test_small_corpus_passes(self, capsys):
@@ -347,9 +414,55 @@ class TestCorpus:
         assert "input error: --nmax 3" in capsys.readouterr().err
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "argv, instance",
+        [
+            (["spectra", "--cycle", "4"], "cycle(4)"),
+            (["domination", "--cycle", "4"], "cycle(4)"),
+            (["sdr", "--family", "fam.json"], "fam.json"),
+            (["width", "--hypergraph", "h.json"], "h.json"),
+            (["corpus", "--graphs", "0", "--families", "0"], "corpus(seed=7)"),
+        ],
+        ids=["spectra", "domination", "sdr", "width", "corpus"],
+    )
+    def test_detail_reads_both_sources(self, argv, instance, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fam.json").write_text(json.dumps({"ground": 3, "hypergraphs": [[[0]], [[1]]]}))
+        (tmp_path / "h.json").write_text(json.dumps({"ground": 3, "edges": [[0, 1], [1, 2]]}))
+        monkeypatch.setenv("FLAGSPECTRA_EXACT_CAP", "9")
+        code, out = run_cli([*argv, "--seed", "7", "--strict-tol", "0.5"], capsys)
+        assert code == 0
+        meta = parse_records(out)[0]
+        assert meta["check"] == "run_config"
+        assert meta["instance"] == instance
+        assert meta["detail"] == (
+            "seed=7 max_dim=None simplex_cap=20000 exact_cap=9 indep_cap=14 width_cap=20 "
+            "family_cap=8 recursion_tol=1e-07 strict_tol=0.5"
+        )
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert main(["spectra"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectra", "--graph", "broken.json"],
+            ["domination", "--cycle", "3", "--reps", "file:broken.json"],
+            ["sdr", "--family", "broken.json"],
+            ["width", "--hypergraph", "broken.json"],
+        ],
+        ids=["graph", "representation", "family", "hypergraph"],
+    )
+    def test_malformed_json_names_its_file(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "broken.json").write_text('{"n": ')
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: broken.json: Expecting value: line 1 column 7 (char 6)\n"
 
     def test_missing_file(self):
         assert main(["spectra", "--graph", "/nonexistent/file.json"]) == 2

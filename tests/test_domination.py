@@ -59,7 +59,7 @@ def spectral_bound(g, instance):
 
 def representation_bound(g, reps, instance):
     return verify_representation_connectivity_bound(
-        best_representation_value(g, reps), independence_connectivity(g), instance=instance
+        best_representation_value(map(representation_value, reps)), independence_connectivity(g), instance=instance
     )
 
 
@@ -190,6 +190,11 @@ class TestRepresentations:
         g = Graph(2, [(0, 1)])
         assert not validate_representation(VectorRepresentation(g, np.zeros((2, 1))))
 
+    def test_value_of_invalid_representation_rejected(self):
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(ValueError, match="representation violates the Gram conditions"):
+            representation_value(VectorRepresentation(g, np.zeros((2, 1))))
+
     def test_cycle_representation_matches_construction(self):
         rep = cycle_representation(2)
         e = np.eye(4, dtype=np.int64)
@@ -234,20 +239,22 @@ class TestRepresentations:
 
     def test_best_value_six_cycle(self):
         g = cycle_graph(6)
-        report = best_representation_value(g, [edge_incidence_representation(g), cycle_representation(2)])
+        report = best_representation_value(
+            [representation_value(edge_incidence_representation(g)), representation_value(cycle_representation(2))]
+        )
         assert report.value == pytest.approx(2.0, abs=1e-6)
+        assert report.witness["representation"] == 1
 
     def test_best_value_dominates_incidence(self):
         for g in corpus():
             if not g.num_edges or g.isolated_vertices():
                 continue
-            reps = [edge_incidence_representation(g)]
-            bound = best_representation_value(g, reps)
+            bound = best_representation_value([representation_value(edge_incidence_representation(g))])
             assert bound.value >= fractional_strong_domination(g).value - 1e-6
 
     def test_best_value_empty_rejected(self):
         with pytest.raises(ValueError):
-            best_representation_value(cycle_graph(4), [])
+            best_representation_value([])
 
     def test_json_import(self):
         g = Graph(2, [(0, 1)])
