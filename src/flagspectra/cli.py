@@ -3,8 +3,8 @@
 Subcommands: spectra, domination, sdr, width, corpus, dump-complex.  Outputs
 are streams of JSON records (or CSV rows) with floats fixed at 12 significant
 digits and a deterministic record order, so identical invocations produce
-byte-identical files.  Exit codes: 0 all checks passed, 1 some check failed,
-2 usage or parse error, 3 a size cap was exceeded.
+byte-identical files.  Exit codes: 0 all checks passed, 1 some check failed
+or an internal error, 2 usage or input error, 3 a size cap was exceeded.
 """
 
 from __future__ import annotations
@@ -201,23 +201,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_graph(args) -> tuple[str, Graph]:
-    if args.graph is not None:
-        return args.graph, load_graph(args.graph, args.simplex_cap)
-    if args.turan is not None:
-        r, ell = args.turan
-        check_vertex_count(r * ell, args.simplex_cap)
-        return f"turan({r},{ell})", turan_graph(r, ell)
-    if args.cycle is not None:
-        check_vertex_count(args.cycle, args.simplex_cap)
-        return f"cycle({args.cycle})", cycle_graph(args.cycle)
-    if args.complete is not None:
-        check_vertex_count(args.complete, args.simplex_cap)
-        return f"complete({args.complete})", complete_graph(args.complete)
-    if args.gnp is not None:
-        n, p, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
-        check_vertex_count(n, args.simplex_cap)
-        return f"gnp(n={n},p={p},seed={seed})", random_gnp(n, p, seed)
-    raise InputFormatError("no graph source given")
+    """The graph source's label and graph.  Whatever the source refuses, and a
+    graph without vertices, is an input error."""
+    try:
+        if args.graph is not None:
+            label, g = args.graph, load_graph(args.graph, args.simplex_cap)
+        elif args.turan is not None:
+            r, ell = args.turan
+            check_vertex_count(r * ell, args.simplex_cap)
+            label, g = f"turan({r},{ell})", turan_graph(r, ell)
+        elif args.cycle is not None:
+            check_vertex_count(args.cycle, args.simplex_cap)
+            label, g = f"cycle({args.cycle})", cycle_graph(args.cycle)
+        elif args.complete is not None:
+            check_vertex_count(args.complete, args.simplex_cap)
+            label, g = f"complete({args.complete})", complete_graph(args.complete)
+        else:  # the parser requires one source
+            n, p, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
+            check_vertex_count(n, args.simplex_cap)
+            label, g = f"gnp(n={n},p={p},seed={seed})", random_gnp(n, p, seed)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+    if g.n < 1:
+        raise InputFormatError("empty graph")
+    return label, g
 
 
 def _meta_record(args, instance: str) -> CheckRecord:
@@ -290,7 +297,7 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or not UTF-8
             raise InputFormatError(f"{path}: {exc}") from exc
 
 
@@ -596,12 +603,15 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 3
-    except (InputFormatError, FileNotFoundError, ValueError) as exc:
+    except (InputFormatError, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except RuntimeError as exc:
         # numerical failure surfaced by a check (rank mismatch, stalled solve)
         sys.stderr.write(f"check failed: {exc}\n")
+        return 1
+    except ValueError as exc:  # input is checked where it is read, so this is a bug
+        sys.stderr.write(f"internal error: {exc}\n")
         return 1
     text = records_to_csv(records) if args.fmt == "csv" else records_to_json_lines(records)
     _emit(text, args.output)

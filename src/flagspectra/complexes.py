@@ -10,13 +10,12 @@ to floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .graphs import Graph, complement
+from .graphs import Graph, check_vertex_count, complement
 
 DEFAULT_SIMPLEX_CAP = 20000
 
@@ -78,8 +77,7 @@ def build_flag_complex(
         max_dim = default_max_dim(g.n)
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    if g.n > simplex_cap:
-        raise CapExceeded(f"complex too large: {g.n} simplices in dimension 0 (cap {simplex_cap})")
+    check_vertex_count(g.n, simplex_cap)
 
     skeleta = [tuple((v,) for v in range(g.n))]
     masks = [tuple(g.adjacency_mask(v) for v in range(g.n))]
@@ -192,7 +190,6 @@ def sort_sign(sequence: Sequence[int]) -> int:
     return -1 if inversions & 1 else 1
 
 
-@dataclass(frozen=True, eq=False)
 class Cochain:
     """Real values on the k-simplices of a complex, in skeleton order.
 
@@ -200,8 +197,11 @@ class Cochain:
     of the vertices negates the stored value (see value_on).
     """
 
-    degree: int
-    values: np.ndarray
+    __slots__ = ("degree", "values")
+
+    def __init__(self, degree: int, values: np.ndarray):
+        self.degree = degree
+        self.values = values
 
     def value_on(self, x: FlagComplex, ordered_vertices: Sequence[int]) -> float:
         key = tuple(sorted(ordered_vertices))

@@ -16,7 +16,6 @@ computes once per graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -34,14 +33,13 @@ GRAM_TOL = 1e-9
 BOUND_TOL = 1e-7
 
 
-@dataclass(frozen=True, eq=False)
 class DominationReport:
     """A named parameter value together with the witness that attains it."""
 
-    parameter: str
-    value: float
-    witness: object
-    notes: str = ""
+    __slots__ = ("parameter", "value", "witness", "notes")
+
+    def __init__(self, parameter: str, value: float, witness: object, notes: str = ""):
+        self.parameter, self.value, self.witness, self.notes = parameter, value, witness, notes
 
 
 def _closed_masks(g: Graph) -> list[int]:
@@ -62,12 +60,17 @@ def smallest_cover(masks: Sequence[int], target: int, candidates: Sequence[int])
     return None
 
 
-def domination_number(g: Graph, cap: int = EXACT_SEARCH_CAP) -> DominationReport:
-    """Minimum size of a set whose closed neighborhood covers every vertex."""
+def _check_search_size(g: Graph, cap: int, search: str = "exact domination") -> None:
+    """The exact searches' preamble: a nonempty graph within the search's vertex cap."""
     if g.n < 1:
         raise ValueError("empty graph")
     if g.n > cap:
-        raise CapExceeded(f"exact domination search capped at {cap} vertices (got {g.n})")
+        raise CapExceeded(f"{search} search capped at {cap} vertices (got {g.n})")
+
+
+def domination_number(g: Graph, cap: int = EXACT_SEARCH_CAP) -> DominationReport:
+    """Minimum size of a set whose closed neighborhood covers every vertex."""
+    _check_search_size(g, cap)
     full = (1 << g.n) - 1
     witness = smallest_cover(_closed_masks(g), full, range(g.n))
     assert witness is not None  # every vertex covers itself
@@ -76,10 +79,7 @@ def domination_number(g: Graph, cap: int = EXACT_SEARCH_CAP) -> DominationReport
 
 def total_domination_number(g: Graph, cap: int = EXACT_SEARCH_CAP) -> DominationReport:
     """Minimum size of a set whose open neighborhood covers every vertex."""
-    if g.n < 1:
-        raise ValueError("empty graph")
-    if g.n > cap:
-        raise CapExceeded(f"exact domination search capped at {cap} vertices (got {g.n})")
+    _check_search_size(g, cap)
     if g.isolated_vertices():
         raise ValueError("no totally dominating set exists (isolated vertex)")
     full = (1 << g.n) - 1
@@ -121,10 +121,7 @@ def independent_domination_number(g: Graph, cap: int = INDEP_SEARCH_CAP) -> Domi
     isolated vertex gets the infinity marker: the isolated vertex joins every
     maximal independent set and no open neighborhood ever covers it.
     """
-    if g.n < 1:
-        raise ValueError("empty graph")
-    if g.n > cap:
-        raise CapExceeded(f"independent domination search capped at {cap} vertices (got {g.n})")
+    _check_search_size(g, cap, "independent domination")
     if g.isolated_vertices():
         return DominationReport(
             "independent_domination_number",
@@ -175,18 +172,17 @@ def fractional_strong_domination(g: Graph) -> DominationReport:
 # -- vector representations ----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class VectorRepresentation:
     """Per-vertex vectors, stored as the rows of an n x dim matrix."""
 
-    graph: Graph
-    matrix: np.ndarray
+    __slots__ = ("graph", "matrix")
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != self.graph.n:
+    def __init__(self, graph: Graph, matrix):
+        mat = np.asarray(matrix)
+        if mat.ndim != 2 or mat.shape[0] != graph.n:
             raise ValueError("representation matrix must have one row per vertex")
-        object.__setattr__(self, "matrix", mat)
+        self.graph = graph
+        self.matrix = mat
 
     @property
     def dim(self) -> int:
@@ -286,17 +282,23 @@ def best_representation_value(values: Iterable[DominationReport]) -> DominationR
 
 
 def representation_from_json_dict(g: Graph, data: dict) -> VectorRepresentation:
+    """A representation of g from its JSON form, refused unless its
+    coordinates and Gram matrix are finite and it meets the Gram conditions."""
     try:
         dim = int(data["dim"])
-        vectors = [[float(x) for x in row] for row in data["vectors"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        mat = np.array([[float(x) for x in row] for row in data["vectors"]], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"bad representation JSON: {exc}") from exc
-    mat = np.array(vectors, dtype=np.float64)
     if mat.ndim != 2 or mat.shape != (g.n, dim):
         raise InputFormatError(f"representation must be {g.n} x {dim}")
     if not np.isfinite(mat).all():
         raise InputFormatError("representation coordinates must be finite")
-    return VectorRepresentation(g, mat)
+    rep = VectorRepresentation(g, mat)
+    if not np.isfinite(rep.gram()).all():
+        raise InputFormatError("representation Gram matrix must be finite")
+    if not validate_representation(rep):
+        raise InputFormatError("representation violates the Gram conditions")
+    return rep
 
 
 # -- verifiers ------------------------------------------------------------------

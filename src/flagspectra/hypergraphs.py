@@ -5,18 +5,17 @@ Widths come in an exact flavor (smallest set of edges meeting every edge,
 by subset search) and a fractional flavor (a covering LP over pairwise
 intersection sizes).  Families of hypergraphs get an exhaustive backtracking
 search for a system of disjoint representatives.  `sweep_family` analyses a
-family once: both widths of every subfamily union and the search, from which
-the two sufficient conditions for representatives (fractional width over
-every subfamily union, and the classical integral-width condition) are read.
+family once: both widths of every subfamily union, their margins and the
+search, from which the two sufficient conditions for representatives
+(fractional width over every subfamily union, and the classical
+integral-width condition) are read.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,12 +32,25 @@ SDR_FAMILY_CAP = 8
 STRICT_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _Value:
+    """Equality and hashing by the tuple of slot values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Hypergraph(_Value):
     """Edges (nonempty vertex sets, duplicates allowed) over ground set {0..ground-1}."""
 
-    ground: int
-    edges: tuple[tuple[int, ...], ...]
+    __slots__ = ("ground", "edges")
 
     def __init__(self, ground: int, edges: Sequence[Sequence[int]]):
         if ground < 0:
@@ -51,8 +63,8 @@ class Hypergraph:
             if vs[0] < 0 or vs[-1] >= ground:
                 raise ValueError(f"edge {vs} out of range for ground set of size {ground}")
             canon.append(vs)
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "edges", tuple(canon))
+        self.ground = ground
+        self.edges = tuple(canon)
 
     @property
     def num_edges(self) -> int:
@@ -68,12 +80,10 @@ class Hypergraph:
         return out
 
 
-@dataclass(frozen=True)
-class HypergraphFamily:
+class HypergraphFamily(_Value):
     """An ordered family of hypergraphs over one shared ground set."""
 
-    ground: int
-    members: tuple[Hypergraph, ...]
+    __slots__ = ("ground", "members")
 
     def __init__(self, ground: int, members: Sequence[Hypergraph]):
         members = tuple(members)
@@ -82,8 +92,8 @@ class HypergraphFamily:
         for h in members:
             if h.ground != ground:
                 raise ValueError("all members must share the ground set")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "members", members)
+        self.ground = ground
+        self.members = members
 
     @property
     def size(self) -> int:
@@ -98,18 +108,23 @@ class HypergraphFamily:
 
 
 def hypergraph_from_json_dict(data: dict) -> Hypergraph:
+    """A hypergraph from its JSON form; one without edges has no width and is refused."""
     try:
         ground = _json_int(data["ground"])
         edges = [[_json_int(v) for v in e] for e in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad hypergraph JSON: {exc}") from exc
     try:
-        return Hypergraph(ground, edges)
+        h = Hypergraph(ground, edges)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
+    if not h.num_edges:
+        raise InputFormatError("empty hypergraph")
+    return h
 
 
 def family_from_json_dict(data: dict) -> HypergraphFamily:
+    """A family from its JSON form; an edgeless member leaves no sweep to run and is refused."""
     try:
         ground = _json_int(data["ground"])
         lists = data["hypergraphs"]
@@ -123,6 +138,8 @@ def family_from_json_dict(data: dict) -> HypergraphFamily:
             raise InputFormatError(f"bad family member: {exc}") from exc
     if not members:
         raise InputFormatError("family must contain at least one hypergraph")
+    if not all(h.num_edges for h in members):
+        raise InputFormatError("empty hypergraph")
     return HypergraphFamily(ground, members)
 
 
@@ -189,8 +206,7 @@ def incidence_representation(h: Hypergraph) -> VectorRepresentation:
     return VectorRepresentation(line_graph(h), _incidence_matrix(h))
 
 
-@dataclass(frozen=True)
-class SdrSearch:
+class SdrSearch(NamedTuple):
     """Outcome of the exhaustive representative search.
 
     `transcript_hash` digests the visit order (member index, edge index,
@@ -254,37 +270,20 @@ def _one_based(indices) -> tuple[int, ...]:
     return tuple(i + 1 for i in indices)
 
 
-@dataclass(frozen=True)
-class _Margins:
-    """Both width margins of every subfamily union, in subset-mask order:
-    rows of (label "I=(...)", |I|, w*, w* - (|I| - 1), w, w - (2|I| - 1))."""
-
-    rows: tuple[tuple[str, int, float, float, int, int], ...]
-    worst_fractional: float
-    first_integral_short: str | None  # label of the first union with w < 2|I| - 1
-
-
-@dataclass(frozen=True, eq=False)
-class FamilySweep:
+class FamilySweep(NamedTuple):
     """The one analysis of a family: w* and w of every subfamily union,
-    indexed by subset mask (entry 0 unused), and the representative search."""
+    indexed by subset mask (entry 0 unused), the representative search, and
+    both width margins of every union in subset-mask order, as rows of
+    (label "I=(...)", |I|, w*, w* - (|I| - 1), w, w - (2|I| - 1)), which
+    both width verifiers and their comparison read."""
 
     size: int
     fractional: tuple[float, ...]
     integral: tuple[int, ...]
     search: SdrSearch
-
-    @cached_property
-    def _margins(self) -> _Margins:
-        """One pass over the subfamily unions, shared by both width
-        verifiers and their comparison."""
-        rows = []
-        for mask, indices in _nonempty_subsets(self.size):
-            k = len(indices)
-            wstar, w = self.fractional[mask], self.integral[mask]
-            rows.append((f"I={_one_based(indices)}", k, wstar, wstar - (k - 1), w, w - (2 * k - 1)))
-        short = next((row[0] for row in rows if row[5] < 0), None)
-        return _Margins(tuple(rows), min(row[3] for row in rows), short)
+    margins: tuple[tuple[str, int, float, float, int, int], ...]
+    worst_fractional: float
+    first_integral_short: str | None  # label of the first union with w < 2|I| - 1
 
 
 def sweep_family(
@@ -364,7 +363,15 @@ def sweep_family(
     direct = width(whole, cap=width_cap)[0]
     if direct != integral[full]:
         raise RuntimeError(f"width table gives w {integral[full]} on the full union, direct search {direct}")
-    return FamilySweep(fam.size, tuple(fractional), tuple(integral), sdr_search(fam, family_cap=family_cap))
+    margins = []
+    for mask, indices in _nonempty_subsets(fam.size):
+        k = len(indices)
+        wstar, w = fractional[mask], integral[mask]
+        margins.append((f"I={_one_based(indices)}", k, wstar, wstar - (k - 1), w, w - (2 * k - 1)))
+    search = sdr_search(fam, family_cap=family_cap)
+    worst = min(row[3] for row in margins)
+    short = next((row[0] for row in margins if row[5] < 0), None)
+    return FamilySweep(fam.size, tuple(fractional), tuple(integral), search, tuple(margins), worst, short)
 
 
 def _closing_record(check: str, claim: str, instance: str, search: SdrSearch, violated, slack=None) -> CheckRecord:
@@ -390,7 +397,7 @@ def verify_fractional_width_condition(sweep: FamilySweep, instance: str = "", to
     records = []
     borderline = False
     violated = None
-    for label, k, value, margin, _, _ in sweep._margins.rows:
+    for label, k, value, margin, _, _ in sweep.margins:
         if margin < -tol and violated is None:
             violated = label
         if abs(margin) <= tol:
@@ -415,7 +422,7 @@ def verify_fractional_width_condition(sweep: FamilySweep, instance: str = "", to
             )
         )
     claim = "w* margins all positive imply a system of disjoint representatives"
-    worst_margin = sweep._margins.worst_fractional
+    worst_margin = sweep.worst_fractional
     if violated is None and borderline:
         records.append(
             CheckRecord(
@@ -446,10 +453,10 @@ def verify_integral_width_condition(sweep: FamilySweep, instance: str = "") -> l
             passed=True,
             detail="hypothesis margin met" if slack >= 0 else "hypothesis not met",
         )
-        for label, k, _, _, value, slack in sweep._margins.rows
+        for label, k, _, _, value, slack in sweep.margins
     ]
     claim = "w(union) >= 2|I|-1 for all I implies a system of disjoint representatives"
-    records.append(_closing_record("integral_width_sdr", claim, instance, sweep.search, sweep._margins.first_integral_short))
+    records.append(_closing_record("integral_width_sdr", claim, instance, sweep.search, sweep.first_integral_short))
     return records
 
 
@@ -457,8 +464,8 @@ def compare_width_conditions(sweep: FamilySweep, instance: str = "", tol: float 
     """Side-by-side report of the two sufficient conditions on one family."""
     records = verify_fractional_width_condition(sweep, instance=instance, tol=tol)
     records += verify_integral_width_condition(sweep, instance=instance)
-    frac_holds = sweep._margins.worst_fractional > tol
-    int_holds = sweep._margins.first_integral_short is None
+    frac_holds = sweep.worst_fractional > tol
+    int_holds = sweep.first_integral_short is None
     detail = f"fractional condition: {'met' if frac_holds else 'not met'}; integral condition: {'met' if int_holds else 'not met'}"
     if frac_holds and not int_holds:
         detail += " (separation instance)"
@@ -477,16 +484,14 @@ def compare_width_conditions(sweep: FamilySweep, instance: str = "", tol: float 
 # -- colorful simplices ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionedComplex:
+class PartitionedComplex(_Value):
     """A clique complex (via its base graph) with a partition of the vertices.
 
     For independent-set semantics pass the complement graph as the base, so
     colorful simplices here become colorful independent sets there.
     """
 
-    graph: Graph
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = ("graph", "classes")
 
     def __init__(self, graph: Graph, classes: Sequence[Sequence[int]]):
         canon = tuple(tuple(sorted(c)) for c in classes)
@@ -502,8 +507,8 @@ class PartitionedComplex:
                 seen.add(v)
         if len(seen) != graph.n:
             raise ValueError("classes must cover every vertex")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "classes", canon)
+        self.graph = graph
+        self.classes = canon
 
     @property
     def num_classes(self) -> int:

@@ -29,8 +29,6 @@ certificates of a whole batch are checked in one stacked pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 FEAS_TOL = 1e-9
@@ -38,28 +36,28 @@ CERT_TOL = 1e-8
 GAP_TOL = 1e-7
 
 
-@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min 1.x subject to A x >= 1, x >= 0, for a finite square matrix A."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=np.float64)
+    def __init__(self, matrix):
+        a = np.asarray(matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or not len(a):
             raise ValueError(f"covering LP needs a nonempty square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("covering LP needs a matrix of finite numbers")
-        object.__setattr__(self, "matrix", a)
+        self.matrix = a
 
 
-@dataclass(frozen=True, eq=False)
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    value: float | None = None
-    notes: str = ""
+    """status is "optimal", "infeasible" or "unbounded"; an optimal solution
+    carries the primal x, the dual y and the value."""
+
+    __slots__ = ("status", "x", "y", "value", "notes")
+
+    def __init__(self, status: str, x=None, y=None, value: float | None = None, notes: str = ""):
+        self.status, self.x, self.y, self.value, self.notes = status, x, y, value, notes
 
     @property
     def optimal(self) -> bool:

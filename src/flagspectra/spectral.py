@@ -12,7 +12,7 @@ and vanishing verifiers are pure functions of its result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,22 +29,6 @@ from .complexes import (
 from .graphs import Graph
 from .linalg import integer_rank, symmetric_eigenvalues
 from .reports import CheckRecord
-
-__all__ = [
-    "hodge_laplacian",
-    "min_hodge_eigenvalue",
-    "BettiProfile",
-    "Connectivity",
-    "betti_profile",
-    "independence_connectivity",
-    "flag_connectivity",
-    "verify_eigenvalue_recursion",
-    "verify_vanishing_threshold",
-    "CochainIdentityChecker",
-    "verify_cochain_identities",
-    "facet_degree_excess",
-    "verify_facet_degree_bound",
-]
 
 KERNEL_TOL_FACTOR = 1e-7
 RECURSION_TOL = 1e-7
@@ -91,8 +75,7 @@ def min_hodge_eigenvalue(g: Graph, k: int, simplex_cap: int = DEFAULT_SIMPLEX_CA
     return float(symmetric_eigenvalues(hodge_laplacian(x, k))[0])
 
 
-@dataclass(frozen=True)
-class Connectivity:
+class Connectivity(NamedTuple):
     """Certified information about the least dimension with nonvanishing
     reduced cohomology, plus one.
 
@@ -132,8 +115,7 @@ class Connectivity:
         return f">= {self.floor} (truncated at dimension {self.scanned})"
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(NamedTuple):
     """Reduced Betti numbers b[0..max_dim] of an enumerated complex, with the
     smallest Laplacian eigenvalue per degree (None where the skeleton is empty)."""
 

@@ -153,6 +153,28 @@ class TestDomination:
         assert captured.out == ""
         assert captured.err == "input error: representation coordinates must be finite\n"
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"dim": 1e400, "vectors": [[1.0], [1.0], [1.0]]}', "bad representation JSON: cannot convert float infinity to integer"),
+            ('{"dim": 1, "vectors": [[1%s], [1.0], [1.0]]}' % ("0" * 400), "bad representation JSON: int too large to convert to float"),
+            ('{"dim": 2, "vectors": [[1.0, 0.0], [1.0], [0.0, 1.0]]}', "bad representation JSON: setting an array element with a sequence"),
+            ('{"dim": 1, "vectors": [[1e200], [1e200], [1e200]]}', "representation Gram matrix must be finite"),
+        ],
+        ids=["dim-overflow", "coordinate-overflow", "ragged", "gram-overflow"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rejects_unusable_representation_file(self, payload, message, capsys, tmp_path):
+        gpath = tmp_path / "p3.json"
+        gpath.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        rpath = tmp_path / "rep.json"
+        rpath.write_text(payload)
+        code = main(["domination", "--graph", str(gpath), "--reps", f"file:{rpath}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {message}")
+
     def test_tiny_negative_gram_entries_still_solve(self, capsys, tmp_path, monkeypatch):
         # v0 . v2 = -1e-12 sits within the Gram tolerance of a non-edge, so
         # the representation is valid, and its Gram LP has a negative entry
@@ -618,6 +640,38 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, payloads, message",
+        [
+            (["spectra", "--cycle", "2"], {}, "cycle graph needs at least 3 vertices"),
+            (["spectra", "--gnp", "5", "x", "1"], {}, "could not convert string to float: 'x'"),
+            (["sdr", "--family", "fam.json"], {"fam.json": {"ground": 3, "hypergraphs": [[[0, 1]], []]}}, "empty hypergraph"),
+            (["width", "--hypergraph", "h.json"], {"h.json": {"ground": 3, "edges": []}}, "empty hypergraph"),
+        ],
+        ids=["cycle-2", "gnp-probability", "family-member-edgeless", "hypergraph-edgeless"],
+    )
+    def test_input_refused_where_it_is_read(self, argv, payloads, message, tmp_path, monkeypatch, capsys):
+        # only InputFormatError (and a missing file) exits 2, so each of these
+        # must be refused as it is read, not later by a verifier; a --reps
+        # file breaking the Gram conditions is the same case, tested above
+        monkeypatch.chdir(tmp_path)
+        for name, payload in payloads.items():
+            (tmp_path / name).write_text(json.dumps(payload))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    def test_internal_value_error_exits_1(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("degree 7 out of range")
+
+        monkeypatch.setattr(cli, "betti_profile", broken)
+        assert main(["spectra", "--cycle", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: degree 7 out of range\n"
 
 
 class TestDeterminism:

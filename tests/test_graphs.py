@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspectra import (
     Graph,
@@ -30,6 +32,14 @@ from flagspectra.graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
     parse_graph_text,
+)
+
+
+# graphs on 2-10 vertices from arbitrary vertex pairs (loops dropped)
+graphs_2_to_10 = st.integers(2, 10).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+        lambda pairs: Graph(n, [(u, v) for u, v in pairs if u != v])
+    )
 )
 
 
@@ -135,6 +145,16 @@ class TestLambdaMax:
             if g.n < 2:
                 continue
             assert lambda_max(g) == pytest.approx(g.n - spectral_gap(complement(g)), abs=1e-8)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(graphs_2_to_10)
+    def test_complement_spectrum_duality(self, g):
+        # L(G) + L(complement) = nI - J, and the two Laplacians share the
+        # eigenvectors orthogonal to the all-ones vector, so the complement's
+        # spectrum is 0 followed by n - mu_i for i = 2..n
+        mu = laplacian_spectrum(g)
+        expected = np.concatenate([[0.0], np.sort(g.n - mu[1:])])
+        assert np.abs(laplacian_spectrum(complement(g)) - expected).max() <= 1e-9
 
 
 class TestComplement:
