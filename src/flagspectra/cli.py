@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import os
 import sys
 
 from . import corpus as corpus_mod
@@ -50,6 +48,7 @@ from .graphs import (
 )
 from .hypergraphs import (
     SDR_FAMILY_CAP,
+    STRICT_TOL,
     WIDTH_SEARCH_CAP,
     compare_width_conditions,
     family_from_json_dict,
@@ -63,6 +62,7 @@ from .hypergraphs import (
 )
 from .reports import CheckRecord, records_to_csv, records_to_json_lines
 from .spectral import (
+    RECURSION_TOL,
     betti_profile,
     independence_connectivity,
     verify_eigenvalue_recursion,
@@ -71,55 +71,32 @@ from .spectral import (
 )
 
 
-# The options whose defaults come from the environment: (option, variable,
-# default when both are unset).  They are read per request, not baked into
-# the shared parser.
-_ENV_OPTIONS = (
-    ("max_dim", "FLAGSPECTRA_MAX_DIM", None),
-    ("simplex_cap", "FLAGSPECTRA_SIMPLEX_CAP", DEFAULT_SIMPLEX_CAP),
-    ("exact_cap", "FLAGSPECTRA_EXACT_CAP", EXACT_SEARCH_CAP),
-    ("indep_cap", "FLAGSPECTRA_INDEP_CAP", INDEP_SEARCH_CAP),
-    ("width_cap", "FLAGSPECTRA_WIDTH_CAP", WIDTH_SEARCH_CAP),
-    ("family_cap", "FLAGSPECTRA_FAMILY_CAP", SDR_FAMILY_CAP),
-)
+# The int options of the record commands, each with its default and help.
+# The parser reads its defaults here, and run_config prints them for the
+# options a command does not take.
+_SETTINGS = {
+    "seed": (42, "master seed, recorded in the output"),
+    "max_dim": (None, "dimension cap for complexes"),
+    "simplex_cap": (DEFAULT_SIMPLEX_CAP, "per-dimension simplex count cap"),
+    "exact_cap": (EXACT_SEARCH_CAP, "vertex cap for exact domination searches"),
+    "indep_cap": (INDEP_SEARCH_CAP, "vertex cap for the independent domination search"),
+    "width_cap": (WIDTH_SEARCH_CAP, "edge cap for exact width searches"),
+    "family_cap": (SDR_FAMILY_CAP, "member cap for subset sweeps and representative searches"),
+}
+_COUNTS = ("max_dim", "simplex_cap", "exact_cap", "indep_cap", "width_cap", "family_cap", "graphs", "families")
 
 
-def _env_int(name: str, default: int | None) -> int | None:
-    """Integer in plain decimal digits from the environment; unset or empty means `default`."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    if not (raw.isascii() and raw.isdigit()):
-        raise InputFormatError(
-            f"environment variable {name} must be a nonnegative integer in decimal digits, got {raw!r}"
-        )
-    return int(raw)
-
-
-def _option(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
-
-
-def _resolve_options(args, env: dict) -> None:
-    """Fill the env-backed options of the command that the command line left
-    unset, then reject negative counts and caps and tolerances that are
-    negative or not finite."""
-    for dest, value in env.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
-    for dest in (*env, "graphs", "families"):
+def _check_counts(args) -> None:
+    """Refuse a negative count or cap among the options the command takes."""
+    for dest in _COUNTS:
         value = getattr(args, dest, None)
         if value is not None and value < 0:
-            raise InputFormatError(f"{_option(dest)} must be nonnegative, got {value}")
-    for dest in ("recursion_tol", "strict_tol"):
-        value = getattr(args, dest, None)
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise InputFormatError(f"{_option(dest)} must be finite and nonnegative, got {value!r}")
+            raise InputFormatError(f"--{dest.replace('_', '-')} must be nonnegative, got {value}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; it holds no environment value."""
+    """The one parser of the process; each command takes only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="flagspectra",
         description="Spectra of clique complexes, domination parameters, and "
@@ -127,34 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # dump-complex reads only these three; the record commands read them all
-    def add_complex_options(p):
-        p.add_argument("--max-dim", type=int, help="dimension cap for complexes")
-        p.add_argument("--simplex-cap", type=int, help="per-dimension simplex count cap")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
+    def add_settings(p, *names):
+        for name in names:
+            default, text = _SETTINGS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=int, default=default, help=text)
 
-    def add_common(p):
-        add_complex_options(p)
-        p.add_argument("--seed", type=int, default=42, help="master seed, recorded in the output")
-        p.add_argument("--exact-cap", type=int, help="vertex cap for exact domination searches")
-        p.add_argument("--indep-cap", type=int, help="vertex cap for the independent domination search")
-        p.add_argument("--width-cap", type=int, help="edge cap for exact width searches")
-        p.add_argument(
-            "--family-cap", type=int, help="member cap for subset sweeps and representative searches"
-        )
-        p.add_argument(
-            "--recursion-tol",
-            type=float,
-            default=1e-7,
-            help="slack tolerance for the eigenvalue recursion check",
-        )
-        p.add_argument(
-            "--strict-tol",
-            type=float,
-            default=1e-7,
-            help="strictness tolerance for fractional-width margins",
-        )
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    def add_output(p, records=True):
+        p.add_argument("--output", default=None, help="output path (default: stdout)")
+        if records:
+            p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     def add_graph_source(p):
         src = p.add_mutually_exclusive_group(required=True)
@@ -167,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="eigenvalues, Betti numbers, connectivity, and the spectral checks")
     add_graph_source(p)
     p.add_argument("--independence", action="store_true", help="analyze the independent-set complex instead")
-    add_common(p)
+    add_settings(p, "max_dim", "simplex_cap")
+    add_output(p)
 
     p = sub.add_parser("domination", help="domination parameters and representation bounds")
     add_graph_source(p)
@@ -176,26 +135,31 @@ def build_parser() -> argparse.ArgumentParser:
         default="edge-incidence",
         help="comma list of representations: edge-incidence, cycle, file:PATH",
     )
-    add_common(p)
+    add_settings(p, "simplex_cap", "exact_cap", "indep_cap")
+    add_output(p)
 
     p = sub.add_parser("sdr", help="disjoint representatives for a hypergraph family")
     p.add_argument("--family", required=True, help="family JSON file")
-    add_common(p)
+    add_settings(p, "width_cap", "family_cap")
+    add_output(p)
 
     p = sub.add_parser("width", help="width and fractional width of a hypergraph")
     p.add_argument("--hypergraph", required=True, help="hypergraph JSON file")
-    add_common(p)
+    add_settings(p, "width_cap")
+    add_output(p)
 
     p = sub.add_parser("corpus", help="run all verifiers over seeded corpora")
     p.add_argument("--graphs", type=int, default=200, help="number of random graphs")
     p.add_argument("--nmax", type=int, default=10, help="largest random graph size")
     p.add_argument("--families", type=int, default=100, help="number of random families")
-    add_common(p)
+    add_settings(p, "seed", "simplex_cap", "width_cap", "family_cap")
+    add_output(p)
 
     p = sub.add_parser("dump-complex", help="dump enumerated skeleta as JSON")
     add_graph_source(p)
     p.add_argument("--independence", action="store_true")
-    add_complex_options(p)
+    add_settings(p, "max_dim", "simplex_cap")
+    add_output(p, records=False)
 
     return parser
 
@@ -228,17 +192,14 @@ def _resolve_graph(args) -> tuple[str, Graph]:
 
 
 def _meta_record(args, instance: str) -> CheckRecord:
+    """Every setting, the ones the command does not take at their defaults."""
+    settings = " ".join(f"{name}={getattr(args, name, default)}" for name, (default, _) in _SETTINGS.items())
     return CheckRecord(
         check="run_config",
         claim="configuration recorded for reproducibility",
         instance=instance,
         passed=True,
-        detail=(
-            f"seed={args.seed} max_dim={args.max_dim} simplex_cap={args.simplex_cap} "
-            f"exact_cap={args.exact_cap} indep_cap={args.indep_cap} "
-            f"width_cap={args.width_cap} family_cap={args.family_cap} "
-            f"recursion_tol={args.recursion_tol:g} strict_tol={args.strict_tol:g}"
-        ),
+        detail=f"{settings} recursion_tol={RECURSION_TOL:g} strict_tol={STRICT_TOL:g}",
     )
 
 
@@ -286,7 +247,7 @@ def cmd_spectra(args) -> list[CheckRecord]:
             detail=eta.describe(),
         )
     )
-    records.extend(verify_eigenvalue_recursion(profile, base.n, instance=label, tol=args.recursion_tol))
+    records.extend(verify_eigenvalue_recursion(profile, base.n, instance=label))
     if base.n >= 2:
         records.extend(verify_vanishing_threshold(profile, float(spectrum[1]), base.n, instance=label))
     records.extend(verify_facet_degree_bound(x, instance=label))
@@ -410,7 +371,7 @@ def cmd_sdr(args) -> list[CheckRecord]:
             ),
         )
     )
-    records.extend(compare_width_conditions(sweep, instance=label, tol=args.strict_tol))
+    records.extend(compare_width_conditions(sweep, instance=label))
     return records
 
 
@@ -466,7 +427,7 @@ def cmd_corpus(args) -> list[CheckRecord]:
             profile = betti_profile(x)  # raises on kernel/rank disagreement
             spectrum = laplacian_spectrum(g)
             gap, lam = float(spectrum[1]), float(spectrum[-1])
-            records.extend(verify_eigenvalue_recursion(profile, g.n, instance=label, tol=args.recursion_tol))
+            records.extend(verify_eigenvalue_recursion(profile, g.n, instance=label))
             records.extend(verify_vanishing_threshold(profile, gap, g.n, instance=label))
             records.append(
                 CheckRecord(
@@ -514,7 +475,7 @@ def cmd_corpus(args) -> list[CheckRecord]:
     for label, fam in corpus_mod.family_corpus(count=args.families, seed=args.seed):
         try:
             sweep = sweep_family(fam, width_cap=args.width_cap, family_cap=args.family_cap)
-            records.extend(verify_fractional_width_condition(sweep, instance=label, tol=args.strict_tol))
+            records.extend(verify_fractional_width_condition(sweep, instance=label))
             records.extend(verify_integral_width_condition(sweep, instance=label))
         except (CapExceeded, RuntimeError, ValueError) as exc:
             records.append(_error_record(label, exc))
@@ -582,11 +543,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def main(argv=None) -> int:
     try:
-        # the environment is read and checked before parsing, so a malformed
-        # variable exits 2 even with --help or with its option given
-        env = {dest: _env_int(name, default) for dest, name, default in _ENV_OPTIONS}
         args = build_parser().parse_args(argv)
-        _resolve_options(args, env)
+        _check_counts(args)
         if args.command == "dump-complex":
             _emit(cmd_dump_complex(args), args.output)
             return 0

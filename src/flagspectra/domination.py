@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InputFormatError
-from .graphs import Graph, _bits, cycle_graph
+from .graphs import Graph, _bits, _json_int, cycle_graph
 from .lp import LinearProgram, solve_covering_lp
 from .reports import CheckRecord
 from .spectral import Connectivity
@@ -184,10 +184,6 @@ class VectorRepresentation:
         self.graph = graph
         self.matrix = mat
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
     def gram(self) -> np.ndarray:
         return self.matrix @ self.matrix.T
 
@@ -281,12 +277,19 @@ def best_representation_value(values: Iterable[DominationReport]) -> DominationR
     )
 
 
+def _json_number(value) -> float:
+    """A JSON int or float as a float; strings and booleans are refused, not coerced."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def representation_from_json_dict(g: Graph, data: dict) -> VectorRepresentation:
     """A representation of g from its JSON form, refused unless its
     coordinates and Gram matrix are finite and it meets the Gram conditions."""
     try:
-        dim = int(data["dim"])
-        mat = np.array([[float(x) for x in row] for row in data["vectors"]], dtype=np.float64)
+        dim = _json_int(data["dim"])
+        mat = np.array([[_json_number(x) for x in row] for row in data["vectors"]], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"bad representation JSON: {exc}") from exc
     if mat.ndim != 2 or mat.shape != (g.n, dim):

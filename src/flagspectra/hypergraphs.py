@@ -71,13 +71,18 @@ class Hypergraph(_Value):
         return len(self.edges)
 
     def edge_masks(self) -> list[int]:
-        out = []
-        for e in self.edges:
-            m = 0
-            for v in e:
-                m |= 1 << v
-            out.append(m)
-        return out
+        return _edge_masks(self.edges, _vertex_ranks(self.edges))
+
+
+def _vertex_ranks(edges) -> dict[int, int]:
+    """Each vertex the edges list, mapped to its rank among them.  Bitmasks
+    and incidence columns are indexed by these ranks, so their size follows
+    the vertices that occur, not the declared ground size."""
+    return {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+
+
+def _edge_masks(edges, rank: dict[int, int]) -> list[int]:
+    return [sum(1 << rank[v] for v in e) for e in edges]
 
 
 class HypergraphFamily(_Value):
@@ -174,11 +179,12 @@ def width(h: Hypergraph, cap: int = WIDTH_SEARCH_CAP) -> tuple[int, tuple[int, .
 
 
 def _incidence_matrix(h: Hypergraph) -> np.ndarray:
-    """The edges x ground 0/1 int64 incidence matrix; B @ B.T holds the
-    pairwise intersection sizes."""
-    mat = np.zeros((h.num_edges, h.ground), dtype=np.int64)
+    """The 0/1 int64 incidence matrix, edges x occurring vertices; B @ B.T
+    holds the pairwise intersection sizes."""
+    rank = _vertex_ranks(h.edges)
+    mat = np.zeros((h.num_edges, len(rank)), dtype=np.int64)
     rows = [i for i, e in enumerate(h.edges) for _ in e]
-    cols = [v for e in h.edges for v in e]
+    cols = [rank[v] for e in h.edges for v in e]
     mat[rows, cols] = 1
     return mat
 
@@ -222,7 +228,9 @@ def sdr_search(fam: HypergraphFamily, family_cap: int = SDR_FAMILY_CAP) -> SdrSe
     """Exhaustive backtracking for one pairwise-disjoint edge per member."""
     if fam.size > family_cap:
         raise CapExceeded(f"representative search capped at {family_cap} members (got {fam.size})")
-    member_masks = [h.edge_masks() for h in fam.members]
+    # one labelling for all members, so that masks of different members compare
+    rank = _vertex_ranks([e for h in fam.members for e in h.edges])
+    member_masks = [_edge_masks(h.edges, rank) for h in fam.members]
     transcript = hashlib.sha256()
     nodes = 0
     chosen: list[int] = []

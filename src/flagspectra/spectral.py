@@ -26,7 +26,7 @@ from .complexes import (
     simplex_degree,
     DEFAULT_SIMPLEX_CAP,
 )
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .linalg import integer_rank, symmetric_eigenvalues
 from .reports import CheckRecord
 
@@ -320,13 +320,7 @@ class CochainIdentityChecker:
         iv, iw, signs = [], [], []
         upper = x.index[k]
         for eta in x.skeleta[k - 1]:
-            mask = x.common_neighbors_mask(eta)
-            verts = []
-            m = mask
-            while m:
-                low = m & -m
-                verts.append(low.bit_length() - 1)
-                m ^= low
+            verts = list(_bits(x.common_neighbors_mask(eta)))
             for a in range(len(verts)):
                 v = verts[a]
                 v_key = tuple(sorted(eta + (v,)))

@@ -96,10 +96,11 @@ class TestSpectra:
         assert header == "check,claim,instance,k,lhs,rhs,slack,pass,detail"
 
     def test_seed_recorded(self, capsys):
-        code, out = run_cli(["spectra", "--cycle", "4", "--seed", "7"], capsys)
+        # spectra draws nothing at random, so it records the default seed
+        code, out = run_cli(["spectra", "--cycle", "4"], capsys)
         meta = parse_records(out)[0]
         assert meta["check"] == "run_config"
-        assert "seed=7" in meta["detail"]
+        assert meta["detail"].startswith("seed=42 ")
 
     def test_max_dim_skips_capped_dimension(self, capsys):
         # K_8 has 56 triangles; --max-dim 1 never enumerates them
@@ -141,8 +142,19 @@ class TestDomination:
         values = [r for r in parse_records(out) if r["check"] == "representation_value"]
         assert values[0]["lhs"] == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("coordinate", ['"nan"', '"inf"', "NaN", "Infinity", "-Infinity"])
-    def test_rejects_non_finite_representation_coordinates(self, coordinate, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "coordinate, message",
+        [
+            # a string is refused as a string, whatever number it spells
+            ('"nan"', "bad representation JSON: expected a number, got 'nan'"),
+            ('"inf"', "bad representation JSON: expected a number, got 'inf'"),
+            ("NaN", "representation coordinates must be finite"),
+            ("Infinity", "representation coordinates must be finite"),
+            ("-Infinity", "representation coordinates must be finite"),
+        ],
+        ids=['"nan"', '"inf"', "NaN", "Infinity", "-Infinity"],
+    )
+    def test_rejects_non_finite_representation_coordinates(self, coordinate, message, capsys, tmp_path):
         gpath = tmp_path / "p3.json"
         gpath.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
         rpath = tmp_path / "rep.json"
@@ -151,17 +163,20 @@ class TestDomination:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "input error: representation coordinates must be finite\n"
+        assert captured.err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
         "payload, message",
         [
-            ('{"dim": 1e400, "vectors": [[1.0], [1.0], [1.0]]}', "bad representation JSON: cannot convert float infinity to integer"),
+            ('{"dim": 1e400, "vectors": [[1.0], [1.0], [1.0]]}', "bad representation JSON: expected an integer, got inf"),
             ('{"dim": 1, "vectors": [[1%s], [1.0], [1.0]]}' % ("0" * 400), "bad representation JSON: int too large to convert to float"),
             ('{"dim": 2, "vectors": [[1.0, 0.0], [1.0], [0.0, 1.0]]}', "bad representation JSON: setting an array element with a sequence"),
             ('{"dim": 1, "vectors": [[1e200], [1e200], [1e200]]}', "representation Gram matrix must be finite"),
+            ('{"dim": 1, "vectors": [["1.5"], [1.0], [1.0]]}', "bad representation JSON: expected a number, got '1.5'"),
+            ('{"dim": 1, "vectors": [[1.0], [true], [1.0]]}', "bad representation JSON: expected a number, got True"),
+            ('{"dim": 1.7, "vectors": [[1.0], [1.0], [1.0]]}', "bad representation JSON: expected an integer, got 1.7"),
         ],
-        ids=["dim-overflow", "coordinate-overflow", "ragged", "gram-overflow"],
+        ids=["dim-overflow", "coordinate-overflow", "ragged", "gram-overflow", "string-coordinate", "bool-coordinate", "float-dim"],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_rejects_unusable_representation_file(self, payload, message, capsys, tmp_path):
@@ -338,6 +353,28 @@ class TestSdrAndWidth:
         assert captured.out == ""
         assert captured.err == "cap exceeded: subset sweep capped at 2 members (got 3)\n"
 
+    @pytest.mark.parametrize(
+        "command, payload, small",
+        [
+            ("width", {"ground": 10**20, "edges": [[0], [1]]}, {"ground": 2, "edges": [[0], [1]]}),
+            ("sdr", {"ground": 10**20, "hypergraphs": [[[0]], [[1]]]}, {"ground": 2, "hypergraphs": [[[0]], [[1]]]}),
+            ("width", {"ground": 10**20, "edges": [[0], [10**20 - 1]]}, {"ground": 2, "edges": [[0], [1]]}),
+        ],
+        ids=["width-huge-ground", "sdr-huge-ground", "width-huge-label"],
+    )
+    def test_allocations_follow_the_vertices_edges_list(self, command, payload, small, capsys, tmp_path):
+        # masks and incidence columns are sized by the vertices that occur,
+        # so a huge declared ground or label changes no output
+        path = tmp_path / "in.json"
+        option = {"width": "--hypergraph", "sdr": "--family"}[command]
+        results = []
+        for data in (payload, small):
+            path.write_text(json.dumps(data))
+            code = main([command, option, str(path)])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and results[0][1].err == ""
+
     def test_width_command(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"ground": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
@@ -380,17 +417,6 @@ class TestDumpComplex:
         assert captured.out == ""
         assert f"error: unrecognized arguments: {' '.join(option)}" in captured.err
 
-    def test_environment_read_and_checked(self, monkeypatch, capsys):
-        monkeypatch.setenv("FLAGSPECTRA_MAX_DIM", "1")
-        monkeypatch.setenv("FLAGSPECTRA_WIDTH_CAP", "5")
-        code, out = run_cli(["dump-complex", "--complete", "3"], capsys)
-        assert code == 0
-        assert json.loads(out)["dims"] == [3, 3]
-        monkeypatch.setenv("FLAGSPECTRA_WIDTH_CAP", "abc")
-        assert main(["dump-complex", "--complete", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("input error: environment variable FLAGSPECTRA_WIDTH_CAP ")
 
 
 class TestCorpus:
@@ -438,30 +464,86 @@ class TestCorpus:
 
 class TestRunConfig:
     @pytest.mark.parametrize(
-        "argv, instance",
+        "argv, instance, detail",
         [
-            (["spectra", "--cycle", "4"], "cycle(4)"),
-            (["domination", "--cycle", "4"], "cycle(4)"),
-            (["sdr", "--family", "fam.json"], "fam.json"),
-            (["width", "--hypergraph", "h.json"], "h.json"),
-            (["corpus", "--graphs", "0", "--families", "0"], "corpus(seed=7)"),
+            (
+                ["spectra", "--cycle", "4", "--max-dim", "2", "--simplex-cap", "900"],
+                "cycle(4)",
+                "seed=42 max_dim=2 simplex_cap=900 exact_cap=16 indep_cap=14 width_cap=20 family_cap=8",
+            ),
+            (
+                ["domination", "--cycle", "4", "--simplex-cap", "900", "--exact-cap", "9", "--indep-cap", "10"],
+                "cycle(4)",
+                "seed=42 max_dim=None simplex_cap=900 exact_cap=9 indep_cap=10 width_cap=20 family_cap=8",
+            ),
+            (
+                ["sdr", "--family", "fam.json", "--width-cap", "5", "--family-cap", "3"],
+                "fam.json",
+                "seed=42 max_dim=None simplex_cap=20000 exact_cap=16 indep_cap=14 width_cap=5 family_cap=3",
+            ),
+            (
+                ["width", "--hypergraph", "h.json", "--width-cap", "5"],
+                "h.json",
+                "seed=42 max_dim=None simplex_cap=20000 exact_cap=16 indep_cap=14 width_cap=5 family_cap=8",
+            ),
+            (
+                ["corpus", "--graphs", "0", "--families", "0", "--seed", "7", "--simplex-cap", "900", "--width-cap", "5", "--family-cap", "3"],
+                "corpus(seed=7)",
+                "seed=7 max_dim=None simplex_cap=900 exact_cap=16 indep_cap=14 width_cap=5 family_cap=3",
+            ),
         ],
         ids=["spectra", "domination", "sdr", "width", "corpus"],
     )
-    def test_detail_reads_both_sources(self, argv, instance, tmp_path, monkeypatch, capsys):
+    def test_detail_reads_both_sources(self, argv, instance, detail, tmp_path, monkeypatch, capsys):
+        """Each setting comes from the command line when the command takes
+        it, and from the default table when it does not."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "fam.json").write_text(json.dumps({"ground": 3, "hypergraphs": [[[0]], [[1]]]}))
         (tmp_path / "h.json").write_text(json.dumps({"ground": 3, "edges": [[0, 1], [1, 2]]}))
-        monkeypatch.setenv("FLAGSPECTRA_EXACT_CAP", "9")
-        code, out = run_cli([*argv, "--seed", "7", "--strict-tol", "0.5"], capsys)
+        code, out = run_cli(argv, capsys)
         assert code == 0
         meta = parse_records(out)[0]
         assert meta["check"] == "run_config"
         assert meta["instance"] == instance
-        assert meta["detail"] == (
-            "seed=7 max_dim=None simplex_cap=20000 exact_cap=9 indep_cap=14 width_cap=20 "
-            "family_cap=8 recursion_tol=1e-07 strict_tol=0.5"
-        )
+        assert meta["detail"] == f"{detail} recursion_tol=1e-07 strict_tol=1e-07"
+
+
+# The options each record command does not read, and so refuses
+NOT_TAKEN = {
+    "spectra": ("--seed", "--exact-cap", "--indep-cap", "--width-cap", "--family-cap"),
+    "domination": ("--seed", "--max-dim", "--width-cap", "--family-cap"),
+    "sdr": ("--seed", "--max-dim", "--simplex-cap", "--exact-cap", "--indep-cap"),
+    "width": ("--seed", "--max-dim", "--simplex-cap", "--exact-cap", "--indep-cap", "--family-cap"),
+    "corpus": ("--max-dim", "--exact-cap", "--indep-cap"),
+}
+ALL_VARIABLES = [
+    f"FLAGSPECTRA_{name}" for name in ("MAX_DIM", "SIMPLEX_CAP", "EXACT_CAP", "INDEP_CAP", "WIDTH_CAP", "FAMILY_CAP")
+]
+SOURCES = {
+    "spectra": ["--cycle", "5"],
+    "domination": ["--cycle", "5"],
+    "sdr": ["--family", "fam.json"],
+    "width": ["--hypergraph", "h.json"],
+    "corpus": ["--graphs", "0", "--families", "0"],
+    "dump-complex": ["--cycle", "5"],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            pytest.param(command, option, id=f"{command} {option}")
+            for command, options in NOT_TAKEN.items()
+            for option in (*options, "--recursion-tol", "--strict-tol")
+        ],
+    )
+    def test_record_command_rejects_options_it_does_not_read(self, command, option, capsys):
+        # the parser refuses them before any file is read
+        assert main([command, *SOURCES[command], option, "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {option} 3" in captured.err
 
 
 class TestExitCodes:
@@ -570,33 +652,43 @@ class TestExitCodes:
         assert captured.err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
-        "name, raw, argv",
+        "names, raw, argv",
         [
-            ("FLAGSPECTRA_SIMPLEX_CAP", "abc", ["spectra", "--cycle", "5"]),
-            ("FLAGSPECTRA_MAX_DIM", "abc", ["spectra", "--cycle", "5"]),
-            ("FLAGSPECTRA_WIDTH_CAP", "abc", ["spectra", "--cycle", "5", "--width-cap", "5"]),
-            ("FLAGSPECTRA_WIDTH_CAP", "abc", ["--help"]),
-            *(("FLAGSPECTRA_WIDTH_CAP", raw, ["spectra", "--cycle", "5"]) for raw in (" 7 ", "+7", "1_0", "-1")),
+            (["FLAGSPECTRA_SIMPLEX_CAP"], "abc", ["spectra", "--cycle", "5"]),
+            (["FLAGSPECTRA_MAX_DIM"], "abc", ["spectra", "--cycle", "5"]),
+            (["FLAGSPECTRA_WIDTH_CAP"], "abc", ["sdr", "--family", "fam.json", "--width-cap", "5"]),
+            (["FLAGSPECTRA_WIDTH_CAP"], "abc", ["--help"]),
+            *((["FLAGSPECTRA_WIDTH_CAP"], raw, ["sdr", "--family", "fam.json"]) for raw in (" 7 ", "+7", "1_0", "-1")),
+            *((ALL_VARIABLES, "abc", [command, *SOURCES[command]]) for command in SOURCES),
         ],
-        ids=["FLAGSPECTRA_SIMPLEX_CAP", "FLAGSPECTRA_MAX_DIM", "flag-given", "help", "spaces", "plus", "underscore", "negative"],
+        ids=[
+            "FLAGSPECTRA_SIMPLEX_CAP",
+            "FLAGSPECTRA_MAX_DIM",
+            "flag-given",
+            "help",
+            "spaces",
+            "plus",
+            "underscore",
+            "negative",
+            *(f"all-{command}" for command in SOURCES),
+        ],
     )
-    def test_bad_env_cap(self, name, raw, argv, monkeypatch, capsys):
-        monkeypatch.setenv(name, raw)
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"input error: environment variable {name} must be a nonnegative integer in decimal digits, got {raw!r}\n"
-        )
+    def test_bad_env_cap(self, names, raw, argv, tmp_path, monkeypatch, capsys):
+        # no command reads the environment, so no value of a variable is an error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fam.json").write_text(json.dumps({"ground": 3, "hypergraphs": [[[0]], [[1]]]}))
+        (tmp_path / "h.json").write_text(json.dumps({"ground": 3, "edges": [[0, 1], [1, 2]]}))
+        code = main(argv)
+        unset = (code, capsys.readouterr())
+        for name in names:
+            monkeypatch.setenv(name, raw)
+        code = main(argv)
+        assert (code, capsys.readouterr()) == unset
+        assert unset[0] == 0 and unset[1].out
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["sdr", "--family", "FAMILY", "--strict-tol", "-1"], "--strict-tol must be finite and nonnegative, got -1.0"),
-            (["sdr", "--family", "FAMILY", "--strict-tol", "nan"], "--strict-tol must be finite and nonnegative, got nan"),
-            (["sdr", "--family", "FAMILY", "--strict-tol", "inf"], "--strict-tol must be finite and nonnegative, got inf"),
-            (["spectra", "--cycle", "5", "--recursion-tol", "nan"], "--recursion-tol must be finite and nonnegative, got nan"),
-            (["spectra", "--cycle", "5", "--recursion-tol", "-1"], "--recursion-tol must be finite and nonnegative, got -1.0"),
             (["spectra", "--cycle", "5", "--max-dim", "-1"], "--max-dim must be nonnegative, got -1"),
             (["spectra", "--cycle", "5", "--simplex-cap", "-1"], "--simplex-cap must be nonnegative, got -1"),
             (["domination", "--cycle", "5", "--exact-cap", "-1"], "--exact-cap must be nonnegative, got -1"),
@@ -607,11 +699,6 @@ class TestExitCodes:
             (["corpus", "--graphs", "0", "--families", "-1"], "--families must be nonnegative, got -1"),
         ],
         ids=[
-            "strict-tol-negative",
-            "strict-tol-nan",
-            "strict-tol-inf",
-            "recursion-tol-nan",
-            "recursion-tol-negative",
             "max-dim",
             "simplex-cap",
             "exact-cap",
@@ -690,8 +777,7 @@ class TestDeterminism:
 
 
 class TestSharedParser:
-    """`main` builds its parser once per process; each request still reads
-    the environment when it starts."""
+    """`main` builds its parser once per process."""
 
     def test_parser_built_on_first_request_only(self, family_json, monkeypatch, capsys):
         cli.build_parser.cache_clear()
@@ -710,16 +796,6 @@ class TestSharedParser:
         assert main(["sdr"]) == 2
         assert main(["sdr", "--family", family_json]) == 0
         assert built == []
-        capsys.readouterr()
-
-    def test_environment_read_per_request(self, family_json, monkeypatch, capsys):
-        # the family's full union has 3 edges
-        monkeypatch.setenv("FLAGSPECTRA_WIDTH_CAP", "2")
-        assert main(["sdr", "--family", family_json]) == 3
-        monkeypatch.delenv("FLAGSPECTRA_WIDTH_CAP")
-        assert main(["sdr", "--family", family_json]) == 0
-        monkeypatch.setenv("FLAGSPECTRA_WIDTH_CAP", "2")
-        assert main(["sdr", "--family", family_json]) == 3
         capsys.readouterr()
 
     def test_usage_error_leaves_next_request_as_in_fresh_process(self, family_json, capsys):

@@ -294,6 +294,13 @@ class TestSdrSearch:
                 not (masks[i] & masks[j]) for i in range(len(masks)) for j in range(i + 1, len(masks))
             )
 
+    def test_members_share_one_vertex_labelling(self):
+        # the first member's only vertex, ranked alone, would share bit 0
+        # with the second member's vertex 0; representatives keep their labels
+        big = 10**20
+        fam = HypergraphFamily(big, [Hypergraph(big, [[big - 1]]), Hypergraph(big, [[big - 1], [0]])])
+        assert find_sdr(fam) == ((big - 1,), (0,))
+
     def test_transcript_hash_deterministic(self):
         fam = HypergraphFamily(1, [Hypergraph(1, [[0]]), Hypergraph(1, [[0]])])
         assert sdr_search(fam).transcript_hash == sdr_search(fam).transcript_hash

@@ -16,6 +16,7 @@ from scipy import sparse
 from flagspectra import (
     Graph,
     betti_profile,
+    blow_up,
     build_flag_complex,
     complete_graph,
     cycle_graph,
@@ -220,6 +221,28 @@ class TestConnectivityHelpers:
     def test_flag_connectivity_of_edgeless(self):
         eta = flag_connectivity(Graph(3))
         assert eta.value() == 1  # three points: already disconnected
+
+    # at most three doubled vertices keep each blow-up to 9 vertices, since
+    # exact ranks on the independence complex of a sparse 12-vertex graph
+    # take seconds
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graphs_on(6).flatmap(
+            lambda g: st.tuples(st.just(g), st.sets(st.integers(0, g.n - 1), max_size=3))
+        )
+    )
+    def test_blow_up_keeps_independence_connectivity(self, case):
+        """Copies of a vertex share its neighbourhood, so the fold lemma
+        (Engstrom 2009) removes them one by one without changing the
+        homotopy type of I(G).  `scanned`, and the floor of an infinite
+        result, grow with n, so only `infinite` and a finite floor compare."""
+        g, doubled = case
+        weights = [2 if v in doubled else 1 for v in range(g.n)]
+        eta = independence_connectivity(g)
+        blown = independence_connectivity(blow_up(g, weights))
+        assert blown.infinite == eta.infinite
+        if not eta.infinite:
+            assert blown.floor == eta.floor
 
 
 class TestEigenvalueRecursion:
