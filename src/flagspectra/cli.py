@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import corpus as corpus_mod
-from .complexes import DEFAULT_SIMPLEX_CAP, build_flag_complex
+from .complexes import DEFAULT_SIMPLEX_CAP, FlagComplex, build_flag_complex
 from .domination import (
     EXACT_SEARCH_CAP,
     INDEP_SEARCH_CAP,
@@ -191,6 +191,19 @@ def _resolve_graph(args) -> tuple[str, Graph]:
     return label, g
 
 
+def _resolve_complex(args) -> tuple[str, FlagComplex]:
+    """The label and clique complex of `spectra` and `dump-complex`: the source
+    graph's, or with --independence its complement's, enumerated to --max-dim
+    (default n - 1).  A --max-dim above n - 1 is refused before the build."""
+    label, g = _resolve_graph(args)
+    max_dim = g.n - 1 if args.max_dim is None else args.max_dim
+    if max_dim > g.n - 1:
+        raise InputFormatError(f"--max-dim {max_dim} exceeds n - 1 = {g.n - 1}")
+    if args.independence:
+        label, g = f"independence({label})", complement(g)
+    return label, build_flag_complex(g, max_dim=max_dim, simplex_cap=args.simplex_cap)
+
+
 def _meta_record(args, instance: str) -> CheckRecord:
     """Every setting, the ones the command does not take at their defaults."""
     settings = " ".join(f"{name}={getattr(args, name, default)}" for name, (default, _) in _SETTINGS.items())
@@ -210,13 +223,9 @@ def _value_record(check: str, claim: str, instance: str, value: float, k: int | 
 
 
 def cmd_spectra(args) -> list[CheckRecord]:
-    label, g = _resolve_graph(args)
-    base = complement(g) if args.independence else g
-    if args.independence:
-        label = f"independence({label})"
+    label, x = _resolve_complex(args)
+    base = x.graph
     records = [_meta_record(args, label)]
-    max_dim = args.max_dim if args.max_dim is not None else base.n - 1
-    x = build_flag_complex(base, max_dim=max_dim, simplex_cap=args.simplex_cap)
     profile = betti_profile(x)
     spectrum = laplacian_spectrum(base)
     if base.n >= 2:
@@ -521,12 +530,9 @@ def _summaries(records) -> list[CheckRecord]:
 
 
 def cmd_dump_complex(args) -> str:
-    label, g = _resolve_graph(args)
-    base = complement(g) if args.independence else g
-    max_dim = args.max_dim if args.max_dim is not None else base.n - 1
-    x = build_flag_complex(base, max_dim=max_dim, simplex_cap=args.simplex_cap)
+    label, x = _resolve_complex(args)
     payload = {
-        "instance": label if not args.independence else f"independence({label})",
+        "instance": label,
         "dims": list(x.counts()),
         "skeleta": {str(k): [list(s) for s in x.skeleta[k]] for k in range(x.max_dim + 1)},
     }

@@ -1,11 +1,15 @@
 """Clique (flag) complexes: enumeration, coboundary matrices, links, cochains.
 
 Simplices are stored as strictly increasing vertex tuples; that increasing
-order is the fixed orientation, and every sign in a coboundary matrix or a
-cochain evaluation is the parity of the permutation relating an ordering to
-the stored one.  Coboundary matrices have exact int64 entries so that the
-composition of two of them vanishes exactly; only the spectral layer converts
-to floating point.
+order is the fixed orientation.  Every incidence between a k-simplex and a
+(k-1)-face is read from one face table, `FlagComplex.faces(k)`: entry [r, i]
+is the position in skeleta[k-1] of simplex r with its i-th vertex dropped,
+and that incidence has sign (-1)^i (`face_signs`).  Coboundaries, vertex
+restrictions, link pairs and facet degrees all read this table.  Cochain
+evaluation on a reordered simplex uses the parity of the sorting
+permutation (`sort_sign`).  Coboundary matrices have exact int64 entries so
+that the composition of two of them vanishes exactly; only the spectral
+layer converts to floating point.
 """
 
 from __future__ import annotations
@@ -34,15 +38,16 @@ class FlagComplex:
     numbers, connectivity) are exact rather than truncations.
     """
 
-    __slots__ = ("graph", "max_dim", "skeleta", "index", "complete", "_masks")
+    __slots__ = ("graph", "max_dim", "skeleta", "index", "complete", "_masks", "_faces")
 
     def __init__(self, graph: Graph, max_dim: int, skeleta, masks, complete: bool):
         self.graph = graph
         self.max_dim = max_dim
         self.skeleta = skeleta
-        self._masks = masks
+        self._masks = masks  # per simplex, the bitmask of its common neighbours
         self.index = [{s: i for i, s in enumerate(level)} for level in skeleta]
         self.complete = complete
+        self._faces: list[np.ndarray | None] = [None] * len(skeleta)
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.skeleta)
@@ -52,14 +57,38 @@ class FlagComplex:
         k = len(key) - 1
         return 0 <= k <= self.max_dim and key in self.index[k]
 
-    def common_neighbors_mask(self, simplex: Sequence[int]) -> int:
-        mask = (1 << self.graph.n) - 1
-        for v in simplex:
-            mask &= self.graph.adjacency_mask(v)
-        return mask
+    def faces(self, k: int) -> np.ndarray:
+        """The (|X_k|, k+1) intp face table of degree k >= 1.
+
+        Entry [r, i] is the position in skeleta[k-1] of skeleta[k][r] with
+        its i-th vertex dropped; that incidence has sign face_signs(k)[i].
+        Each degree's table is built when it is first asked for, and is
+        read-only.
+        """
+        if k < 1 or k > self.max_dim:
+            raise ValueError(f"face table degree {k} out of range for max_dim {self.max_dim}")
+        table = self._faces[k]
+        if table is None:
+            below = self.index[k - 1]
+            table = np.array(
+                [below[s[:i] + s[i + 1 :]] for s in self.skeleta[k] for i in range(k + 1)],
+                dtype=np.intp,
+            ).reshape(-1, k + 1)
+            table.flags.writeable = False  # shared by every caller
+            self._faces[k] = table
+        return table
+
+    def degrees(self, k: int) -> np.ndarray:
+        """Common-neighbour count of each k-simplex, in skeleton order."""
+        return np.array([mask.bit_count() for mask in self._masks[k]], dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"FlagComplex(n={self.graph.n}, max_dim={self.max_dim}, counts={self.counts()})"
+
+
+def face_signs(k: int) -> np.ndarray:
+    """Incidence signs (-1)^i of the k+1 faces of a k-simplex, i = 0..k."""
+    return (-1) ** np.arange(k + 1, dtype=np.int64)
 
 
 def build_flag_complex(
@@ -77,6 +106,8 @@ def build_flag_complex(
         max_dim = default_max_dim(g.n)
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
+    if max_dim > g.n - 1:
+        raise ValueError(f"max_dim {max_dim} exceeds n - 1 = {g.n - 1}")
     check_vertex_count(g.n, simplex_cap)
 
     skeleta = [tuple((v,) for v in range(g.n))]
@@ -107,9 +138,7 @@ def build_flag_complex(
     while len(skeleta) <= max_dim:
         skeleta.append(())
         masks.append(())
-    if not skeleta[max_dim]:
-        complete = True
-    elif max_dim >= g.n - 1:
+    if not skeleta[max_dim] or max_dim == g.n - 1:
         complete = True
     else:
         complete = not any(
@@ -136,15 +165,9 @@ def coboundary_matrix(x: FlagComplex, k: int) -> np.ndarray:
         return np.ones((x.graph.n, 1), dtype=np.int64)
     if k < -1 or k > x.max_dim - 1:
         raise ValueError(f"coboundary degree {k} out of range for max_dim {x.max_dim}")
-    rows = x.skeleta[k + 1]
-    cols_index = x.index[k]
-    mat = np.zeros((len(rows), len(cols_index)), dtype=np.int64)
-    for r, tau in enumerate(rows):
-        sign = 1
-        for i in range(len(tau)):
-            face = tau[:i] + tau[i + 1 :]
-            mat[r, cols_index[face]] = sign
-            sign = -sign
+    faces = x.faces(k + 1)
+    mat = np.zeros((len(faces), len(x.skeleta[k])), dtype=np.int64)
+    mat[np.arange(len(faces))[:, None], faces] = face_signs(k + 1)
     return mat
 
 
@@ -157,7 +180,8 @@ def simplex_degree(x: FlagComplex, simplex: Sequence[int]) -> int:
     key = tuple(sorted(simplex))
     if not x.contains(key):
         raise ValueError(f"simplex {key} not in complex")
-    return x.common_neighbors_mask(key).bit_count()
+    k = len(key) - 1
+    return x._masks[k][x.index[k][key]].bit_count()
 
 
 def link(x: FlagComplex, simplex: Sequence[int]) -> list[tuple[int, ...]]:
@@ -222,17 +246,9 @@ def restriction_matrices(x: FlagComplex, k: int) -> list[np.ndarray]:
     """For each vertex u, the matrix taking a degree-k cochain to its u-restriction."""
     if k < 1 or k > x.max_dim:
         raise ValueError("restriction needs degree between 1 and max_dim")
-    upper = x.index[k]
-    mats = []
-    for u in range(x.graph.n):
-        mat = np.zeros((len(x.skeleta[k - 1]), len(x.skeleta[k])), dtype=np.int64)
-        for pos, tau in enumerate(x.skeleta[k - 1]):
-            if u in tau:
-                continue
-            idx = upper.get(tuple(sorted(tau + (u,))))
-            if idx is None:
-                continue
-            below = sum(1 for t in tau if t < u)
-            mat[pos, idx] = -1 if below & 1 else 1
-        mats.append(mat)
-    return mats
+    faces = x.faces(k)
+    vertices = np.array(x.skeleta[k], dtype=np.intp).reshape(-1, k + 1)
+    mats = np.zeros((x.graph.n, len(x.skeleta[k - 1]), len(faces)), dtype=np.int64)
+    # dropping vertex u = sigma[i] from sigma gives its face i, with sign (-1)^i
+    mats[vertices, faces, np.arange(len(faces))[:, None]] = face_signs(k)
+    return list(mats)

@@ -21,12 +21,12 @@ from .complexes import (
     FlagComplex,
     build_flag_complex,
     coboundary_matrix,
+    face_signs,
     independence_complex,
     restriction_matrices,
-    simplex_degree,
     DEFAULT_SIMPLEX_CAP,
 )
-from .graphs import Graph, _bits
+from .graphs import Graph
 from .linalg import integer_rank, symmetric_eigenvalues
 from .reports import CheckRecord
 
@@ -280,10 +280,9 @@ def verify_vanishing_threshold(
 # -- cochain identities ------------------------------------------------------
 
 
-def _facet_degree_sums(x: FlagComplex, k: int) -> list[int]:
+def _facet_degree_sums(x: FlagComplex, k: int) -> np.ndarray:
     """For each k-simplex in skeleton order, the sum of its facets' degrees."""
-    deg_km1 = {s: simplex_degree(x, s) for s in x.skeleta[k - 1]}
-    return [sum(deg_km1[s[:i] + s[i + 1 :]] for i in range(len(s))) for s in x.skeleta[k]]
+    return x.degrees(k - 1)[x.faces(k)].sum(axis=1)
 
 
 class CochainIdentityChecker:
@@ -303,7 +302,6 @@ class CochainIdentityChecker:
             raise ValueError("complex must be enumerated one dimension above k")
         self.x = x
         self.k = k
-        n = x.graph.n
 
         self.d_k = _upper_coboundary(x, k)
         self.d_km1 = coboundary_matrix(x, k - 1)
@@ -311,42 +309,21 @@ class CochainIdentityChecker:
         self.delta_k = hodge_laplacian(x, k).astype(np.float64)
         self.delta_km1 = hodge_laplacian(x, k - 1).astype(np.float64)
 
-        self.deg_k = np.array([simplex_degree(x, s) for s in x.skeleta[k]], dtype=np.float64)
-        self.facet_deg_sum = np.array(_facet_degree_sums(x, k), dtype=np.float64)
+        self.deg_k = x.degrees(k).astype(np.float64)
+        self.facet_deg_sum = _facet_degree_sums(x, k).astype(np.float64)
         self.restrictions = [m.astype(np.float64) for m in restriction_matrices(x, k)]
 
-        # Link pairs: for each (k-1)-simplex eta and each adjacent pair v < w
-        # of its link, record the indices and signs of (v eta) and (w eta).
-        iv, iw, signs = [], [], []
-        upper = x.index[k]
-        for eta in x.skeleta[k - 1]:
-            verts = list(_bits(x.common_neighbors_mask(eta)))
-            for a in range(len(verts)):
-                v = verts[a]
-                v_key = tuple(sorted(eta + (v,)))
-                v_idx = upper.get(v_key)
-                if v_idx is None:
-                    continue
-                sv = -1 if sum(1 for t in eta if t < v) & 1 else 1
-                for b in range(a + 1, len(verts)):
-                    w = verts[b]
-                    if not x.graph.has_edge(v, w):
-                        continue
-                    w_idx = upper.get(tuple(sorted(eta + (w,))))
-                    if w_idx is None:
-                        continue
-                    sw = -1 if sum(1 for t in eta if t < w) & 1 else 1
-                    iv.append(v_idx)
-                    iw.append(w_idx)
-                    signs.append(sv * sw)
-        self._pair_iv = np.array(iv, dtype=np.intp)
-        self._pair_iw = np.array(iw, dtype=np.intp)
-        self._pair_sign = np.array(signs, dtype=np.float64)
-
-    def _link_pair_sum(self, phi: np.ndarray) -> float:
-        if self._pair_iv.size == 0:
-            return 0.0
-        return float((self._pair_sign * phi[self._pair_iv] * phi[self._pair_iw]).sum())
+        # Link pairs: a (k-1)-simplex eta with an edge v < w in its link spans
+        # the (k+1)-simplex rho = eta + v + w, where v and w sit at positions
+        # i < j.  The pair is (v eta, w eta) = (rho minus j, rho minus i), and
+        # its sign (-1)^i (-1)^(j-1) counts the vertices of eta below v and w.
+        # A complete complex enumerated only to k has no (k+1)-simplices.
+        rho_faces = x.faces(k + 1) if k < x.max_dim else np.zeros((0, k + 2), dtype=np.intp)
+        i, j = np.triu_indices(k + 2, 1)
+        signs = face_signs(k + 1)
+        self._pair_iv = rho_faces[:, j].ravel()
+        self._pair_iw = rho_faces[:, i].ravel()
+        self._pair_sign = np.tile(-(signs[i] * signs[j]), len(rho_faces)).astype(np.float64)
 
     def residuals(self, phi: np.ndarray, instance: str = "", tol: float = IDENTITY_TOL) -> list[CheckRecord]:
         """Evaluate both sides of each identity for one cochain."""
@@ -355,7 +332,7 @@ class CochainIdentityChecker:
         if phi.shape != (len(self.x.skeleta[k]),):
             raise ValueError("cochain length does not match degree-k skeleton")
 
-        pair = self._link_pair_sum(phi)
+        pair = float((self._pair_sign * phi[self._pair_iv] * phi[self._pair_iw]).sum())
         phi_sq = phi * phi
         deg_term = float(self.deg_k @ phi_sq)
         facet_term = float(self.facet_deg_sum @ phi_sq)
@@ -439,10 +416,7 @@ def facet_degree_excess(x: FlagComplex, k: int) -> int:
     """Max over k-simplices of (sum of facet degrees) - k * (own degree)."""
     if k < 1 or k > x.max_dim or not x.skeleta[k]:
         raise ValueError(f"no {k}-simplices")
-    return max(
-        facet_sum - k * simplex_degree(x, s)
-        for facet_sum, s in zip(_facet_degree_sums(x, k), x.skeleta[k])
-    )
+    return int((_facet_degree_sums(x, k) - k * x.degrees(k)).max())
 
 
 def verify_facet_degree_bound(x: FlagComplex, instance: str = "") -> list[CheckRecord]:

@@ -715,6 +715,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("independence", [[], ["--independence"]], ids=["clique", "independence"])
+    @pytest.mark.parametrize("command", ["spectra", "dump-complex"])
+    def test_max_dim_above_top_dimension_rejected(self, command, independence, capsys):
+        # a 5-vertex complex has no simplex above dimension 4; the cap is
+        # refused before any level is enumerated or printed
+        assert main([command, "--cycle", "5", *independence, "--max-dim", "1000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --max-dim 1000000 exceeds n - 1 = 4\n"
+
     @pytest.mark.parametrize(
         "source, message",
         [(["--cycle", "0"], "cycle graph needs at least 3 vertices"), (["--complete", "0"], "empty graph")],

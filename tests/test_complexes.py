@@ -27,14 +27,19 @@ from flagspectra import (
     turan_graph,
 )
 from flagspectra.complexes import Cochain, random_cochain, restriction_matrices, sort_sign
+from flagspectra.spectral import CochainIdentityChecker, _facet_degree_sums
 
 
-# graphs on 1-9 vertices from arbitrary vertex pairs (loops dropped)
-small_graphs = st.integers(1, 9).flatmap(
-    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
-        lambda pairs: Graph(n, [(u, v) for u, v in pairs if u != v])
+def graphs_up_to(nmax):
+    """Graphs on 1-nmax vertices from arbitrary vertex pairs (loops dropped)."""
+    return st.integers(1, nmax).flatmap(
+        lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+            lambda pairs: Graph(n, [(u, v) for u, v in pairs if u != v])
+        )
     )
-)
+
+
+small_graphs = graphs_up_to(9)
 
 
 def brute_force_cliques(g, size):
@@ -91,6 +96,10 @@ class TestEnumeration:
     def test_cap_exceeded_names_dimension(self):
         with pytest.raises(CapExceeded, match="dimension 1"):
             build_flag_complex(complete_graph(9), max_dim=3, simplex_cap=30)
+
+    def test_max_dim_above_top_dimension_rejected(self):
+        with pytest.raises(ValueError, match="max_dim 3 exceeds n - 1 = 2"):
+            build_flag_complex(complete_graph(3), max_dim=3)
 
     def test_complete_flag(self):
         assert build_flag_complex(complete_graph(4), max_dim=3).complete
@@ -153,6 +162,99 @@ class TestCoboundary:
             coboundary_matrix(x, 1)
         with pytest.raises(ValueError):
             coboundary_matrix(x, -2)
+
+
+# The per-simplex constructions that the face table replaced, kept as oracles.
+
+
+def loop_coboundary(x, k):
+    rows = x.skeleta[k + 1]
+    cols_index = x.index[k]
+    mat = np.zeros((len(rows), len(cols_index)), dtype=np.int64)
+    for r, tau in enumerate(rows):
+        sign = 1
+        for i in range(len(tau)):
+            mat[r, cols_index[tau[:i] + tau[i + 1 :]]] = sign
+            sign = -sign
+    return mat
+
+
+def loop_restrictions(x, k):
+    upper = x.index[k]
+    mats = []
+    for u in range(x.graph.n):
+        mat = np.zeros((len(x.skeleta[k - 1]), len(x.skeleta[k])), dtype=np.int64)
+        for pos, tau in enumerate(x.skeleta[k - 1]):
+            if u in tau:
+                continue
+            idx = upper.get(tuple(sorted(tau + (u,))))
+            if idx is None:
+                continue
+            below = sum(1 for t in tau if t < u)
+            mat[pos, idx] = -1 if below & 1 else 1
+        mats.append(mat)
+    return mats
+
+
+def common_neighbors(g, simplex):
+    return [v for v in range(g.n) if all(g.has_edge(v, t) for t in simplex)]
+
+
+def loop_link_pairs(x, k):
+    """(iv, iw, sign) for each (k-1)-simplex eta and adjacent pair v < w of its link."""
+    pairs = []
+    upper = x.index[k]
+    for eta in x.skeleta[k - 1]:
+        verts = common_neighbors(x.graph, eta)
+        for a, v in enumerate(verts):
+            v_idx = upper.get(tuple(sorted(eta + (v,))))
+            if v_idx is None:
+                continue
+            sv = -1 if sum(1 for t in eta if t < v) & 1 else 1
+            for w in verts[a + 1 :]:
+                if not x.graph.has_edge(v, w):
+                    continue
+                w_idx = upper.get(tuple(sorted(eta + (w,))))
+                if w_idx is None:
+                    continue
+                sw = -1 if sum(1 for t in eta if t < w) & 1 else 1
+                pairs.append((v_idx, w_idx, float(sv * sw)))
+    return sorted(pairs)
+
+
+class TestFaceTable:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(graphs_up_to(8), st.data())
+    def test_face_table_matches_per_simplex_loops(self, g, data):
+        x = build_flag_complex(g, max_dim=data.draw(st.integers(0, g.n - 1)))
+        for k in range(x.max_dim + 1):
+            assert x.degrees(k).tolist() == [len(common_neighbors(g, s)) for s in x.skeleta[k]]
+        for k in range(1, x.max_dim + 1):
+            faces = x.faces(k)
+            assert faces.shape == (len(x.skeleta[k]), k + 1)
+            for r, s in enumerate(x.skeleta[k]):
+                for i in range(k + 1):
+                    assert x.skeleta[k - 1][faces[r, i]] == tuple(v for p, v in enumerate(s) if p != i)
+            assert np.array_equal(coboundary_matrix(x, k - 1), loop_coboundary(x, k - 1))
+            for new, old in zip(restriction_matrices(x, k), loop_restrictions(x, k), strict=True):
+                assert np.array_equal(new, old)
+            sums = [sum(len(common_neighbors(g, f)) for f in combinations(s, k)) for s in x.skeleta[k]]
+            assert _facet_degree_sums(x, k).tolist() == sums
+            if x.skeleta[k] and (k < x.max_dim or x.complete):
+                checker = CochainIdentityChecker(x, k)
+                pairs = zip(checker._pair_iv.tolist(), checker._pair_iw.tolist(), checker._pair_sign.tolist())
+                assert sorted(pairs) == loop_link_pairs(x, k)
+
+    def test_face_table_is_cached_and_read_only(self):
+        x = build_flag_complex(complete_graph(3), max_dim=2)
+        assert x.faces(2) is x.faces(2)
+        assert not x.faces(2).flags.writeable
+
+    def test_face_table_degree_out_of_range(self):
+        x = build_flag_complex(complete_graph(3), max_dim=1)
+        for k in (0, 2):
+            with pytest.raises(ValueError):
+                x.faces(k)
 
 
 class TestDegreesAndLinks:
