@@ -8,12 +8,18 @@ and that incidence has sign (-1)^i (`face_signs`).  Coboundaries, vertex
 restrictions, link pairs and facet degrees all read this table.  Cochain
 evaluation on a reordered simplex uses the parity of the sorting
 permutation (`sort_sign`).  Coboundary matrices have exact int64 entries so
-that the composition of two of them vanishes exactly; only the spectral
-layer converts to floating point.
+that the composition of two of them vanishes exactly.  Each degree's
+coboundary is built once per complex, on first use, and cached read-only
+like its face table, so every caller shares one matrix.
+
+Every dense array that grows with the complex (coboundaries, Laplacians,
+vertex restrictions) is checked against DENSE_BYTES_CAP before it is
+allocated (`check_dense_bytes`); a larger one raises `CapExceeded`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +28,7 @@ from .errors import CapExceeded
 from .graphs import Graph, check_vertex_count, complement
 
 DEFAULT_SIMPLEX_CAP = 20000
+DENSE_BYTES_CAP = 1 << 30  # bytes in any one dense array sized by the complex
 
 
 def default_max_dim(n: int) -> int:
@@ -38,7 +45,9 @@ class FlagComplex:
     numbers, connectivity) are exact rather than truncations.
     """
 
-    __slots__ = ("graph", "max_dim", "skeleta", "index", "complete", "_masks", "_faces")
+    __slots__ = (
+        "graph", "max_dim", "skeleta", "index", "complete", "_masks", "_faces", "_coboundaries"
+    )
 
     def __init__(self, graph: Graph, max_dim: int, skeleta, masks, complete: bool):
         self.graph = graph
@@ -48,6 +57,7 @@ class FlagComplex:
         self.index = [{s: i for i, s in enumerate(level)} for level in skeleta]
         self.complete = complete
         self._faces: list[np.ndarray | None] = [None] * len(skeleta)
+        self._coboundaries: list[np.ndarray | None] = [None] * (max_dim + 1)  # degree k at k+1
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.skeleta)
@@ -154,19 +164,39 @@ def independence_complex(
     return build_flag_complex(complement(g), max_dim=max_dim, simplex_cap=simplex_cap)
 
 
+def check_dense_bytes(shape: tuple[int, ...]) -> None:
+    """Raise CapExceeded if a dense int64 array of this shape would exceed DENSE_BYTES_CAP."""
+    nbytes = math.prod(shape) * 8
+    if nbytes > DENSE_BYTES_CAP:
+        raise CapExceeded(f"dense int64 array of shape {shape} needs {nbytes} bytes (cap {DENSE_BYTES_CAP})")
+
+
 def coboundary_matrix(x: FlagComplex, k: int) -> np.ndarray:
     """Matrix of the degree-k coboundary with exact int64 entries.
 
     Rows are (k+1)-simplices, columns k-simplices; the entry for (tau, sigma)
     is (-1)^i when sigma is tau with its i-th vertex dropped.  Degree -1 is
-    the all-ones column (the constant-to-vertices augmentation).
+    the all-ones column (the constant-to-vertices augmentation).  Each
+    degree's matrix is built on first use and cached on the complex,
+    read-only, so repeated calls return the same array.
     """
-    if k == -1:
-        return np.ones((x.graph.n, 1), dtype=np.int64)
     if k < -1 or k > x.max_dim - 1:
         raise ValueError(f"coboundary degree {k} out of range for max_dim {x.max_dim}")
+    mat = x._coboundaries[k + 1]
+    if mat is None:
+        mat = _build_coboundary(x, k)
+        mat.flags.writeable = False  # shared by every caller
+        x._coboundaries[k + 1] = mat
+    return mat
+
+
+def _build_coboundary(x: FlagComplex, k: int) -> np.ndarray:
+    if k == -1:
+        return np.ones((x.graph.n, 1), dtype=np.int64)
+    shape = (len(x.skeleta[k + 1]), len(x.skeleta[k]))
+    check_dense_bytes(shape)
     faces = x.faces(k + 1)
-    mat = np.zeros((len(faces), len(x.skeleta[k])), dtype=np.int64)
+    mat = np.zeros(shape, dtype=np.int64)
     mat[np.arange(len(faces))[:, None], faces] = face_signs(k + 1)
     return mat
 
@@ -246,9 +276,11 @@ def restriction_matrices(x: FlagComplex, k: int) -> list[np.ndarray]:
     """For each vertex u, the matrix taking a degree-k cochain to its u-restriction."""
     if k < 1 or k > x.max_dim:
         raise ValueError("restriction needs degree between 1 and max_dim")
+    shape = (x.graph.n, len(x.skeleta[k - 1]), len(x.skeleta[k]))
+    check_dense_bytes(shape)
     faces = x.faces(k)
     vertices = np.array(x.skeleta[k], dtype=np.intp).reshape(-1, k + 1)
-    mats = np.zeros((x.graph.n, len(x.skeleta[k - 1]), len(faces)), dtype=np.int64)
+    mats = np.zeros(shape, dtype=np.int64)
     # dropping vertex u = sigma[i] from sigma gives its face i, with sign (-1)^i
     mats[vertices, faces, np.arange(len(faces))[:, None]] = face_signs(k)
     return list(mats)

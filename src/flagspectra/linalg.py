@@ -5,7 +5,9 @@ relative accuracy on tiny eigenvalues does not matter here: every Betti
 number read from a Laplacian kernel is checked against exact rank-nullity.
 
 Ranks use fraction-free (Bareiss) elimination over Python ints, so they are
-exact for any integer matrix, in particular for coboundary operators.
+exact for any integer matrix, in particular for coboundary operators.  The
+matrix is read into nested lists of Python ints with one `tolist()` call,
+which converts every entry in C.
 """
 
 from __future__ import annotations
@@ -34,15 +36,16 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
 def integer_rank(matrix) -> int:
     """Exact rank of an integer matrix via fraction-free (Bareiss) elimination.
 
-    Works over arbitrary-precision Python ints, so the result is exact for
-    any integer input, in particular for coboundary matrices.
+    Works over arbitrary-precision Python ints (read with `tolist()`), so
+    the result is exact for any integer input, in particular for coboundary
+    matrices.
     """
     a = np.asarray(matrix)
     if a.size == 0:
         return 0
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError("integer_rank needs an integer matrix")
-    rows = [[int(x) for x in row] for row in a]
+    rows = a.tolist()
     n_rows, n_cols = len(rows), len(rows[0])
     rank = 0
     prev = 1

@@ -1,10 +1,12 @@
 """Higher Laplacians of clique complexes, Betti profiles, and their verifiers.
 
 The degree-k Laplacian is assembled from the coboundary matrices one degree
-below and above (with the all-ones augmentation below degree 0), in exact
-integer arithmetic.  Reduced Betti numbers are computed twice, by counting
-near-zero Laplacian eigenvalues and by exact integer rank-nullity, and the
-two must agree; a mismatch raises instead of silently trusting either side.
+below and above (with the all-ones augmentation below degree 0).  Both
+products run as float64 BLAS matmuls and the sum is returned as int64; that
+is exact, because coboundary entries are 0 or +-1, so every partial sum is
+an integer no larger than the row count, far below 2^53.  Reduced Betti
+numbers are computed twice, by counting near-zero Laplacian eigenvalues and
+by exact integer rank-nullity, and the two must agree; a mismatch raises instead of silently trusting either side.
 That pass, `betti_profile`, is the one analysis of a complex: the recursion
 and vanishing verifiers are pure functions of its result.
 """
@@ -20,6 +22,7 @@ from .complexes import (
     Cochain,
     FlagComplex,
     build_flag_complex,
+    check_dense_bytes,
     coboundary_matrix,
     face_signs,
     independence_complex,
@@ -49,14 +52,21 @@ def hodge_laplacian(x: FlagComplex, k: int) -> np.ndarray:
     At degree 0 the down term is the all-ones matrix, so the result equals
     J + L_G entrywise.  At the top enumerated dimension the up term is the
     zero map; that is the true operator exactly when the complex is complete.
+    Both products are float64 BLAS matmuls of the 0/+-1 coboundaries, whose
+    partial sums are small integers and so exact; numpy's int64 matmul has
+    no BLAS path.
     """
     if k < 0 or k > x.max_dim:
         raise ValueError(f"degree {k} out of range")
-    if not x.skeleta[k]:
+    count = len(x.skeleta[k])
+    if not count:
         raise ValueError(f"no {k}-simplices")
-    d_below = coboundary_matrix(x, k - 1)
-    d_above = _upper_coboundary(x, k)
-    return d_below @ d_below.T + d_above.T @ d_above
+    check_dense_bytes((count, count))
+    d_below = coboundary_matrix(x, k - 1).astype(np.float64)
+    d_above = _upper_coboundary(x, k).astype(np.float64)
+    out = d_below @ d_below.T
+    out += d_above.T @ d_above
+    return out.astype(np.int64)
 
 
 def min_hodge_eigenvalue(g: Graph, k: int, simplex_cap: int = DEFAULT_SIMPLEX_CAP) -> float:

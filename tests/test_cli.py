@@ -579,6 +579,13 @@ class TestExitCodes:
     def test_cap_exceeded(self):
         assert main(["spectra", "--complete", "12", "--simplex-cap", "50"]) == 3
 
+    def test_dense_array_cap_exceeded(self, monkeypatch, capsys):
+        monkeypatch.setattr("flagspectra.complexes.DENSE_BYTES_CAP", 100)
+        assert main(["spectra", "--cycle", "6"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: dense int64 array of shape (")
+        assert "bytes (cap 100)" in err
+
     @pytest.mark.parametrize(
         "source", [["--gnp", "100000000", "0.5", "1"], ["--complete", "100000000"], ["--turan", "10000", "10000"]]
     )

@@ -26,6 +26,7 @@ from flagspectra import (
     simplex_degree,
     turan_graph,
 )
+from flagspectra import complexes
 from flagspectra.complexes import Cochain, random_cochain, restriction_matrices, sort_sign
 from flagspectra.spectral import CochainIdentityChecker, _facet_degree_sums
 
@@ -156,6 +157,15 @@ class TestCoboundary:
             assert prod.dtype == np.int64
             assert not prod.any()
 
+    def test_cached_and_read_only(self):
+        x = build_flag_complex(complete_graph(4), max_dim=3)
+        for k in range(-1, 3):
+            d = coboundary_matrix(x, k)
+            assert coboundary_matrix(x, k) is d
+            with pytest.raises(ValueError):
+                d[0, 0] = 7
+        assert coboundary_matrix(x, 1).tolist() == loop_coboundary(x, 1).tolist()
+
     def test_out_of_range(self):
         x = build_flag_complex(complete_graph(3), max_dim=1)
         with pytest.raises(ValueError):
@@ -249,6 +259,16 @@ class TestFaceTable:
         x = build_flag_complex(complete_graph(3), max_dim=2)
         assert x.faces(2) is x.faces(2)
         assert not x.faces(2).flags.writeable
+
+    def test_dense_arrays_capped_before_allocation(self, monkeypatch):
+        x = build_flag_complex(complete_graph(5), max_dim=4)
+        # 10 edges x 10 triangles of int64 is 800 bytes; 5 vertices x 10 x 10 is 4000
+        monkeypatch.setattr(complexes, "DENSE_BYTES_CAP", 799)
+        with pytest.raises(CapExceeded, match=r"shape \(10, 10\) needs 800 bytes"):
+            coboundary_matrix(x, 1)
+        with pytest.raises(CapExceeded, match=r"shape \(5, 10, 10\) needs 4000 bytes"):
+            restriction_matrices(x, 2)
+        assert coboundary_matrix(x, 0).shape == (10, 5)  # 400 bytes, under the cap
 
     def test_face_table_degree_out_of_range(self):
         x = build_flag_complex(complete_graph(3), max_dim=1)

@@ -33,6 +33,13 @@ graphs_up_to_7 = st.integers(1, 7).flatmap(
 small_int_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
     lambda shape: arrays(np.int64, shape, elements=st.integers(-3, 3))
 )
+# int64 entries up to 2^40 in magnitude, mixed with small ones so that
+# ranks below full occur; Bareiss products of these overflow int64
+large_int_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(
+        np.int64, shape, elements=st.one_of(st.integers(-1, 1), st.integers(-(2**40), 2**40))
+    )
+)
 
 
 def sympy_rank(a):
@@ -153,3 +160,18 @@ class TestIntegerRankAgainstSympy:
     @given(small_int_matrices)
     def test_random_int_matrices(self, a):
         assert integer_rank(a) == sympy_rank(a)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(large_int_matrices)
+    def test_large_int64_entries(self, a):
+        assert integer_rank(a) == sympy_rank(a)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_large_entry_low_rank_products(self, r, seed):
+        # entries up to 2^39 * r, rank at most r
+        rng = np.random.default_rng(seed)
+        left = rng.integers(-(2**19), 2**19, size=(6, r))
+        right = rng.integers(-(2**19), 2**19, size=(r, 5))
+        prod = left @ right
+        assert integer_rank(prod) == sympy_rank(prod)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from flagspectra import (
+    CapExceeded,
     Graph,
     betti_profile,
     blow_up,
@@ -33,6 +34,7 @@ from flagspectra import (
     verify_facet_degree_bound,
     verify_vanishing_threshold,
 )
+from flagspectra import complexes
 from flagspectra.complexes import coboundary_matrix
 from flagspectra.spectral import facet_degree_excess
 
@@ -111,6 +113,13 @@ class TestHodgeLaplacian:
             assert got.dtype == expected.dtype == np.int64
             assert np.array_equal(got, expected)
 
+    def test_dense_laplacian_capped_before_allocation(self, monkeypatch):
+        # the 6 x 6 vertex Laplacian needs 288 bytes, the coboundary below it 48
+        x = build_flag_complex(cycle_graph(6), max_dim=0)
+        monkeypatch.setattr(complexes, "DENSE_BYTES_CAP", 287)
+        with pytest.raises(CapExceeded, match=r"shape \(6, 6\) needs 288 bytes"):
+            hodge_laplacian(x, 0)
+
 
 class TestMinEigenvalue:
     def test_turan_formula(self):
@@ -137,6 +146,25 @@ class TestMinEigenvalue:
 
 
 class TestBettiProfile:
+    def test_each_coboundary_built_once(self, monkeypatch):
+        built = []
+        real = complexes._build_coboundary
+
+        def spy(x, k):
+            built.append(k)
+            return real(x, k)
+
+        monkeypatch.setattr(complexes, "_build_coboundary", spy)
+        for seed in range(12):
+            g = random_gnp(7 + seed % 4, 0.6, seed=seed)
+            x = build_flag_complex(g, max_dim=g.n - 1 - seed % 3)
+            built.clear()
+            betti_profile(x)
+            # hodge_laplacian(k) needs degrees k-1 and k (k only below max_dim)
+            # for every nonempty degree k
+            top = max(k for k in range(x.max_dim + 1) if x.skeleta[k])
+            assert sorted(built) == list(range(-1, min(top, x.max_dim - 1) + 1))
+
     def test_complete_graph_contractible(self):
         for n in (2, 4, 5):
             profile = betti_profile(build_flag_complex(complete_graph(n), max_dim=n - 1))
