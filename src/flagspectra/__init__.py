@@ -17,25 +17,16 @@ from .graphs import (
     spectral_gap,
     turan_graph,
 )
-from .complexes import (
-    Cochain,
-    build_flag_complex,
-    coboundary_matrix,
-    independence_complex,
-    link,
-    simplex_degree,
-)
+from .complexes import build_flag_complex, coboundary_matrix, independence_complex
 from .linalg import integer_rank, symmetric_eigenvalues
 from .spectral import (
     CochainIdentityChecker,
     Connectivity,
     betti_profile,
     facet_degree_excess,
-    flag_connectivity,
     hodge_laplacian,
     independence_connectivity,
     min_hodge_eigenvalue,
-    verify_cochain_identities,
     verify_eigenvalue_recursion,
     verify_facet_degree_bound,
     verify_vanishing_threshold,

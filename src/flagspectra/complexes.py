@@ -1,26 +1,26 @@
-"""Clique (flag) complexes: enumeration, coboundary matrices, links, cochains.
+"""Clique (flag) complexes: enumeration, face tables and coboundary matrices.
 
 Simplices are stored as strictly increasing vertex tuples; that increasing
 order is the fixed orientation.  Every incidence between a k-simplex and a
 (k-1)-face is read from one face table, `FlagComplex.faces(k)`: entry [r, i]
 is the position in skeleta[k-1] of simplex r with its i-th vertex dropped,
 and that incidence has sign (-1)^i (`face_signs`).  Coboundaries, vertex
-restrictions, link pairs and facet degrees all read this table.  Cochain
-evaluation on a reordered simplex uses the parity of the sorting
-permutation (`sort_sign`).  Coboundary matrices have exact int64 entries so
-that the composition of two of them vanishes exactly.  Each degree's
-coboundary is built once per complex, on first use, and cached read-only
-like its face table, so every caller shares one matrix.
+restrictions, link pairs and facet degrees all read this table.  Coboundary
+matrices have exact int64 entries so that the composition of two of them
+vanishes exactly.  Each degree's coboundary is built once per complex, on
+first use, and cached read-only like its face table, so every caller shares
+one matrix.
 
 Every dense array that grows with the complex (coboundaries, Laplacians,
-vertex restrictions) is checked against DENSE_BYTES_CAP before it is
-allocated (`check_dense_bytes`); a larger one raises `CapExceeded`.
+the vertex restrictions of the cochain identities) is checked against
+DENSE_BYTES_CAP before it is allocated (`check_dense_bytes`); a larger one
+raises `CapExceeded`.  The enumeration raises it too, as soon as a level
+passes the simplex cap.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class FlagComplex:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.skeleta)
-
-    def contains(self, simplex: Sequence[int]) -> bool:
-        key = tuple(sorted(simplex))
-        k = len(key) - 1
-        return 0 <= k <= self.max_dim and key in self.index[k]
 
     def faces(self, k: int) -> np.ndarray:
         """The (|X_k|, k+1) intp face table of degree k >= 1.
@@ -108,7 +103,9 @@ def build_flag_complex(
 
     Cliques are grown vertex by vertex in increasing label order, which emits
     every skeleton in lexicographic order.  A dimension whose simplex count
-    exceeds simplex_cap aborts the build.
+    exceeds simplex_cap aborts the build as soon as the level passes the cap;
+    the message gives the level's exact size, the sum of the popcounts of the
+    extension masks.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -134,10 +131,9 @@ def build_flag_complex(
                     level_masks.append(mask & g.adjacency_mask(w))
                 ext >>= 1
                 w += 1
-        if len(level) > simplex_cap:
-            raise CapExceeded(
-                f"complex too large: {len(level)} simplices in dimension {k} (cap {simplex_cap})"
-            )
+            if len(level) > simplex_cap:
+                count = sum((m >> (s[-1] + 1)).bit_count() for s, m in zip(skeleta[k - 1], masks[k - 1]))
+                raise CapExceeded(f"complex too large: {count} simplices in dimension {k} (cap {simplex_cap})")
         skeleta.append(tuple(level))
         masks.append(tuple(level_masks))
         if not level:
@@ -165,10 +161,11 @@ def independence_complex(
 
 
 def check_dense_bytes(shape: tuple[int, ...]) -> None:
-    """Raise CapExceeded if a dense int64 array of this shape would exceed DENSE_BYTES_CAP."""
+    """Raise CapExceeded if a dense array of this shape with 8-byte entries
+    (int64 or float64) would exceed DENSE_BYTES_CAP."""
     nbytes = math.prod(shape) * 8
     if nbytes > DENSE_BYTES_CAP:
-        raise CapExceeded(f"dense int64 array of shape {shape} needs {nbytes} bytes (cap {DENSE_BYTES_CAP})")
+        raise CapExceeded(f"dense array of shape {shape} needs {nbytes} bytes (cap {DENSE_BYTES_CAP})")
 
 
 def coboundary_matrix(x: FlagComplex, k: int) -> np.ndarray:
@@ -199,88 +196,3 @@ def _build_coboundary(x: FlagComplex, k: int) -> np.ndarray:
     mat = np.zeros(shape, dtype=np.int64)
     mat[np.arange(len(faces))[:, None], faces] = face_signs(k + 1)
     return mat
-
-
-def simplex_degree(x: FlagComplex, simplex: Sequence[int]) -> int:
-    """Number of cofaces of one dimension higher in the full clique complex.
-
-    For a clique complex this is the number of common neighbors of the
-    simplex's vertices, so the count does not depend on the enumeration cap.
-    """
-    key = tuple(sorted(simplex))
-    if not x.contains(key):
-        raise ValueError(f"simplex {key} not in complex")
-    k = len(key) - 1
-    return x._masks[k][x.index[k][key]].bit_count()
-
-
-def link(x: FlagComplex, simplex: Sequence[int]) -> list[tuple[int, ...]]:
-    """All stored simplices disjoint from the given one whose union is stored.
-
-    Returned in (dimension, lexicographic) order.  Only unions of dimension
-    at most max_dim are visible, matching the enumerated skeleta.
-    """
-    key = tuple(sorted(simplex))
-    if not x.contains(key):
-        raise ValueError(f"simplex {key} not in complex")
-    kdim = len(key) - 1
-    base = set(key)
-    out = []
-    for j in range(0, x.max_dim - kdim):
-        union_index = x.index[kdim + j + 1]
-        for tau in x.skeleta[j]:
-            if base.isdisjoint(tau) and tuple(sorted(key + tau)) in union_index:
-                out.append(tau)
-    return out
-
-
-def sort_sign(sequence: Sequence[int]) -> int:
-    """Parity sign of the permutation that sorts a sequence of distinct ints."""
-    inversions = 0
-    for i in range(len(sequence)):
-        for j in range(i + 1, len(sequence)):
-            if sequence[i] > sequence[j]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
-
-
-class Cochain:
-    """Real values on the k-simplices of a complex, in skeleton order.
-
-    Values on reordered simplices follow skew-symmetry: an odd permutation
-    of the vertices negates the stored value (see value_on).
-    """
-
-    __slots__ = ("degree", "values")
-
-    def __init__(self, degree: int, values: np.ndarray):
-        self.degree = degree
-        self.values = values
-
-    def value_on(self, x: FlagComplex, ordered_vertices: Sequence[int]) -> float:
-        key = tuple(sorted(ordered_vertices))
-        if len(key) != len(ordered_vertices):
-            raise ValueError("repeated vertex in simplex")
-        pos = x.index[self.degree].get(key)
-        if pos is None:
-            raise ValueError(f"simplex {key} not in complex")
-        return sort_sign(tuple(ordered_vertices)) * float(self.values[pos])
-
-
-def random_cochain(x: FlagComplex, k: int, rng) -> Cochain:
-    values = np.array([rng.next_gauss() for _ in x.skeleta[k]])
-    return Cochain(k, values)
-
-
-def restriction_matrices(x: FlagComplex, k: int) -> list[np.ndarray]:
-    """For each vertex u, the matrix taking a degree-k cochain to its u-restriction."""
-    if k < 1 or k > x.max_dim:
-        raise ValueError("restriction needs degree between 1 and max_dim")
-    shape = (x.graph.n, len(x.skeleta[k - 1]), len(x.skeleta[k]))
-    check_dense_bytes(shape)
-    faces = x.faces(k)
-    vertices = np.array(x.skeleta[k], dtype=np.intp).reshape(-1, k + 1)
-    mats = np.zeros(shape, dtype=np.int64)
-    # dropping vertex u = sigma[i] from sigma gives its face i, with sign (-1)^i
-    mats[vertices, faces, np.arange(len(faces))[:, None]] = face_signs(k)
-    return list(mats)

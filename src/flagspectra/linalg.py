@@ -19,8 +19,8 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
     The input must be exactly symmetric entrywise (operators in this package
-    are assembled symmetrically in integer arithmetic, so no tolerance is
-    needed or granted).  The check matters because LAPACK reads only one
+    are assembled symmetrically with exact integer entries, so no tolerance
+    is needed or granted).  The check matters because LAPACK reads only one
     triangle and would silently treat a non-symmetric input as symmetric.
     """
     a = np.asarray(matrix)
@@ -30,7 +30,7 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
         raise ValueError("matrix must have dimension >= 1")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigvalsh(a.astype(np.float64))
+    return np.linalg.eigvalsh(a)
 
 
 def integer_rank(matrix) -> int:

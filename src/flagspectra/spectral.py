@@ -2,13 +2,20 @@
 
 The degree-k Laplacian is assembled from the coboundary matrices one degree
 below and above (with the all-ones augmentation below degree 0).  Both
-products run as float64 BLAS matmuls and the sum is returned as int64; that
-is exact, because coboundary entries are 0 or +-1, so every partial sum is
-an integer no larger than the row count, far below 2^53.  Reduced Betti
-numbers are computed twice, by counting near-zero Laplacian eigenvalues and
-by exact integer rank-nullity, and the two must agree; a mismatch raises instead of silently trusting either side.
-That pass, `betti_profile`, is the one analysis of a complex: the recursion
-and vanishing verifiers are pure functions of its result.
+products run as float64 BLAS matmuls and the float64 sum is the operator;
+its entries are exact integers, because coboundary entries are 0 or +-1, so
+every partial sum is an integer no larger than the row count, far below
+2^53.  Reduced Betti numbers are computed twice, by counting near-zero
+Laplacian eigenvalues and by exact integer rank-nullity of the int64
+coboundaries, and the two must agree; a mismatch raises instead of silently
+trusting either side.  That pass, `betti_profile`, is the one analysis of a
+complex: the recursion and vanishing verifiers are pure functions of its
+result.
+
+The cochain identities of Garland's method are checked by
+`CochainIdentityChecker`, which reads the face table alone: one fancy-index
+write gathers every vertex restriction of a cochain into the rows of one
+(n, |X_{k-1}|) array, so each sum over vertices is a single matrix product.
 """
 
 from __future__ import annotations
@@ -19,14 +26,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import (
-    Cochain,
     FlagComplex,
     build_flag_complex,
     check_dense_bytes,
     coboundary_matrix,
     face_signs,
     independence_complex,
-    restriction_matrices,
     DEFAULT_SIMPLEX_CAP,
 )
 from .graphs import Graph
@@ -47,7 +52,8 @@ def _upper_coboundary(x: FlagComplex, k: int) -> np.ndarray:
 
 
 def hodge_laplacian(x: FlagComplex, k: int) -> np.ndarray:
-    """Degree-k Laplacian (down-up plus up-down) as an exact int64 matrix.
+    """Degree-k Laplacian (down-up plus up-down) as a float64 matrix with
+    exact integer entries.
 
     At degree 0 the down term is the all-ones matrix, so the result equals
     J + L_G entrywise.  At the top enumerated dimension the up term is the
@@ -66,7 +72,7 @@ def hodge_laplacian(x: FlagComplex, k: int) -> np.ndarray:
     d_above = _upper_coboundary(x, k).astype(np.float64)
     out = d_below @ d_below.T
     out += d_above.T @ d_above
-    return out.astype(np.int64)
+    return out
 
 
 def min_hodge_eigenvalue(g: Graph, k: int, simplex_cap: int = DEFAULT_SIMPLEX_CAP) -> float:
@@ -191,15 +197,6 @@ def betti_profile(x: FlagComplex) -> BettiProfile:
     return BettiProfile(tuple(betti), tuple(mins), x.max_dim, x.complete)
 
 
-def flag_connectivity(
-    g: Graph, simplex_cap: int = DEFAULT_SIMPLEX_CAP, max_dim: int | None = None
-) -> Connectivity:
-    """Connectivity of the clique complex of g, scanning all dimensions by default."""
-    if max_dim is None:
-        max_dim = g.n - 1
-    return betti_profile(build_flag_complex(g, max_dim=max_dim, simplex_cap=simplex_cap)).connectivity
-
-
 def independence_connectivity(
     g: Graph, simplex_cap: int = DEFAULT_SIMPLEX_CAP, max_dim: int | None = None
 ) -> Connectivity:
@@ -299,8 +296,8 @@ class CochainIdentityChecker:
     """Precomputed structure for the degree-k cochain identities of one complex.
 
     Setting this up once makes checking many random cochains on the same
-    complex cheap: link-pair index arrays, per-vertex restriction matrices,
-    degree vectors, and both Laplacians are all reused across evaluations.
+    complex cheap: the restriction gather and link-pair index arrays, degree
+    vectors, and both Laplacians are all reused across evaluations.
     """
 
     def __init__(self, x: FlagComplex, k: int):
@@ -310,18 +307,28 @@ class CochainIdentityChecker:
             raise ValueError(f"no {k}-simplices")
         if k + 1 > x.max_dim and not x.complete:
             raise ValueError("complex must be enumerated one dimension above k")
+        # every restriction is a row of one (n, |X_{k-1}|) array; n can exceed
+        # |X_{k-1}|, so the capped Laplacians do not bound it
+        self._restricted_shape = (x.graph.n, len(x.skeleta[k - 1]))
+        check_dense_bytes(self._restricted_shape)
         self.x = x
         self.k = k
 
         self.d_k = _upper_coboundary(x, k)
         self.d_km1 = coboundary_matrix(x, k - 1)
         self.d_km2 = coboundary_matrix(x, k - 2)
-        self.delta_k = hodge_laplacian(x, k).astype(np.float64)
-        self.delta_km1 = hodge_laplacian(x, k - 1).astype(np.float64)
+        self.delta_k = hodge_laplacian(x, k)
+        self.delta_km1 = hodge_laplacian(x, k - 1)
 
-        self.deg_k = x.degrees(k).astype(np.float64)
-        self.facet_deg_sum = _facet_degree_sums(x, k).astype(np.float64)
-        self.restrictions = [m.astype(np.float64) for m in restriction_matrices(x, k)]
+        self.deg_k = x.degrees(k)
+        self.facet_deg_sum = _facet_degree_sums(x, k)
+
+        # Restriction gather: dropping the vertex u = sigma[i] from a k-simplex
+        # sigma leaves its face i, so phi_u takes the value (-1)^i phi(sigma)
+        # there.  Each (u, face) pair comes from one sigma only.
+        self._restrict_u = np.array(x.skeleta[k], dtype=np.intp).reshape(-1, k + 1)
+        self._restrict_face = x.faces(k)
+        self._restrict_sign = face_signs(k)
 
         # Link pairs: a (k-1)-simplex eta with an edge v < w in its link spans
         # the (k+1)-simplex rho = eta + v + w, where v and w sit at positions
@@ -346,16 +353,16 @@ class CochainIdentityChecker:
         phi_sq = phi * phi
         deg_term = float(self.deg_k @ phi_sq)
         facet_term = float(self.facet_deg_sum @ phi_sq)
-        restricted = [mat @ phi for mat in self.restrictions]
+        restricted = self._restrict(phi)  # row u is phi_u
 
-        norm_dk = float(np.dot(self.d_k @ phi, self.d_k @ phi))
-        sum_d_restr = sum(float(np.dot(self.d_km1 @ r, self.d_km1 @ r)) for r in restricted)
-        sum_adj_restr = sum(float(np.dot(self.d_km2.T @ r, self.d_km2.T @ r)) for r in restricted)
-        norm_adj = float(np.dot(self.d_km1.T @ phi, self.d_km1.T @ phi))
+        norm_dk = _norm_sq(self.d_k @ phi)
+        sum_d_restr = _norm_sq(restricted @ self.d_km1.T)
+        sum_adj_restr = _norm_sq(restricted @ self.d_km2)
+        norm_adj = _norm_sq(phi @ self.d_km1)
         quad_k = float(phi @ (self.delta_k @ phi))
-        quad_km1 = sum(float(r @ (self.delta_km1 @ r)) for r in restricted)
-        sum_restr_norm = sum(float(np.dot(r, r)) for r in restricted)
-        norm_phi = float(np.dot(phi, phi))
+        quad_km1 = float(np.vdot(restricted @ self.delta_km1, restricted))
+        sum_restr_norm = _norm_sq(restricted)
+        norm_phi = _norm_sq(phi)
 
         checks = [
             ("coboundary_norm", "||d_k phi||^2 == sum deg(sigma) phi^2 - 2*linkpairs", norm_dk, deg_term - 2.0 * pair),
@@ -408,18 +415,16 @@ class CochainIdentityChecker:
             )
         return records
 
+    def _restrict(self, phi: np.ndarray) -> np.ndarray:
+        """Every vertex restriction of phi, as the rows of one (n, |X_{k-1}|) array."""
+        out = np.zeros(self._restricted_shape)
+        out[self._restrict_u, self._restrict_face] = self._restrict_sign * phi[:, None]
+        return out
 
-def verify_cochain_identities(
-    x: FlagComplex, k: int, phi: Cochain | np.ndarray, instance: str = "", tol: float = IDENTITY_TOL
-) -> list[CheckRecord]:
-    """One-shot evaluation of the degree-k cochain identities for a single cochain."""
-    if isinstance(phi, Cochain):
-        if phi.degree != k:
-            raise ValueError(f"cochain degree {phi.degree} does not match k={k}")
-        values = phi.values
-    else:
-        values = phi
-    return CochainIdentityChecker(x, k).residuals(values, instance=instance, tol=tol)
+
+def _norm_sq(a: np.ndarray) -> float:
+    """Squared Euclidean norm of a vector, or squared Frobenius norm of a matrix."""
+    return float(np.vdot(a, a))
 
 
 def facet_degree_excess(x: FlagComplex, k: int) -> int:

@@ -583,7 +583,7 @@ class TestExitCodes:
         monkeypatch.setattr("flagspectra.complexes.DENSE_BYTES_CAP", 100)
         assert main(["spectra", "--cycle", "6"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("cap exceeded: dense int64 array of shape (")
+        assert err.startswith("cap exceeded: dense array of shape (")
         assert "bytes (cap 100)" in err
 
     @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
-"""Flag complex enumeration, coboundaries, links, and cochain restriction.
+"""Flag complex enumeration, face tables, coboundaries, and the restriction gather.
 
 The enumeration oracle is an independent brute force: scan all vertex
 subsets with itertools and keep those spanning complete subgraphs.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -21,13 +22,10 @@ from flagspectra import (
     complete_graph,
     cycle_graph,
     independence_complex,
-    link,
     random_gnp,
-    simplex_degree,
     turan_graph,
 )
 from flagspectra import complexes
-from flagspectra.complexes import Cochain, random_cochain, restriction_matrices, sort_sign
 from flagspectra.spectral import CochainIdentityChecker, _facet_degree_sums
 
 
@@ -50,6 +48,15 @@ def brute_force_cliques(g, size):
         if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
             out.append(combo)
     return out
+
+
+def gauss_cochain(rng, x, k):
+    return np.array([rng.next_gauss() for _ in x.skeleta[k]])
+
+
+def degree_of(x, simplex):
+    k = len(simplex) - 1
+    return int(x.degrees(k)[x.index[k][simplex]])
 
 
 def corpus():
@@ -97,6 +104,19 @@ class TestEnumeration:
     def test_cap_exceeded_names_dimension(self):
         with pytest.raises(CapExceeded, match="dimension 1"):
             build_flag_complex(complete_graph(9), max_dim=3, simplex_cap=30)
+
+    def test_cap_raised_before_the_level_is_built(self):
+        # K700 has 244650 edges; the build stops once the level passes the
+        # default cap of 20000, and still reports the exact count
+        g = complete_graph(700)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=r"^complex too large: 244650 simplices in dimension 1 \(cap 20000\)$"):
+                build_flag_complex(g, max_dim=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_max_dim_above_top_dimension_rejected(self):
         with pytest.raises(ValueError, match="max_dim 3 exceeds n - 1 = 2"):
@@ -246,14 +266,16 @@ class TestFaceTable:
                 for i in range(k + 1):
                     assert x.skeleta[k - 1][faces[r, i]] == tuple(v for p, v in enumerate(s) if p != i)
             assert np.array_equal(coboundary_matrix(x, k - 1), loop_coboundary(x, k - 1))
-            for new, old in zip(restriction_matrices(x, k), loop_restrictions(x, k), strict=True):
-                assert np.array_equal(new, old)
             sums = [sum(len(common_neighbors(g, f)) for f in combinations(s, k)) for s in x.skeleta[k]]
             assert _facet_degree_sums(x, k).tolist() == sums
             if x.skeleta[k] and (k < x.max_dim or x.complete):
                 checker = CochainIdentityChecker(x, k)
                 pairs = zip(checker._pair_iv.tolist(), checker._pair_iw.tolist(), checker._pair_sign.tolist())
                 assert sorted(pairs) == loop_link_pairs(x, k)
+                # the gather, row by row, against the per-vertex loop matrices
+                phi = gauss_cochain(SplitMix64(data.draw(st.integers(0, 2**32))), x, k)
+                want = np.array([mat @ phi for mat in loop_restrictions(x, k)])
+                assert np.array_equal(checker._restrict(phi), want)
 
     def test_face_table_is_cached_and_read_only(self):
         x = build_flag_complex(complete_graph(3), max_dim=2)
@@ -262,13 +284,22 @@ class TestFaceTable:
 
     def test_dense_arrays_capped_before_allocation(self, monkeypatch):
         x = build_flag_complex(complete_graph(5), max_dim=4)
-        # 10 edges x 10 triangles of int64 is 800 bytes; 5 vertices x 10 x 10 is 4000
+        # 10 edges x 10 triangles is 800 bytes
         monkeypatch.setattr(complexes, "DENSE_BYTES_CAP", 799)
         with pytest.raises(CapExceeded, match=r"shape \(10, 10\) needs 800 bytes"):
             coboundary_matrix(x, 1)
-        with pytest.raises(CapExceeded, match=r"shape \(5, 10, 10\) needs 4000 bytes"):
-            restriction_matrices(x, 2)
         assert coboundary_matrix(x, 0).shape == (10, 5)  # 400 bytes, under the cap
+
+    def test_restriction_gather_capped_before_allocation(self, monkeypatch):
+        # K4 and 9 isolated vertices: at k = 3 the gather is 13 vertices x 4
+        # triangles (416 bytes), larger than any coboundary or Laplacian it needs
+        x = build_flag_complex(Graph(13, list(combinations(range(4), 2))), max_dim=3)
+        monkeypatch.setattr(complexes, "DENSE_BYTES_CAP", 415)
+        with pytest.raises(CapExceeded, match=r"shape \(13, 4\) needs 416 bytes"):
+            CochainIdentityChecker(x, 3)
+        assert x._coboundaries == [None] * 4  # refused before anything was built
+        monkeypatch.setattr(complexes, "DENSE_BYTES_CAP", 416)
+        assert all(rec.passed for rec in CochainIdentityChecker(x, 3).residuals(np.ones(1)))
 
     def test_face_table_degree_out_of_range(self):
         x = build_flag_complex(complete_graph(3), max_dim=1)
@@ -280,99 +311,62 @@ class TestFaceTable:
 class TestDegreesAndLinks:
     def test_vertex_degree_in_cycle(self):
         x = build_flag_complex(cycle_graph(4), max_dim=2)
-        assert simplex_degree(x, (0,)) == 2
+        assert degree_of(x, (0,)) == 2
 
     def test_edge_degree_in_k4(self):
         x = build_flag_complex(complete_graph(4), max_dim=3)
-        assert simplex_degree(x, (0, 1)) == 2
+        assert degree_of(x, (0, 1)) == 2
 
     def test_triangle_degree_in_k3(self):
         x = build_flag_complex(complete_graph(3), max_dim=2)
-        assert simplex_degree(x, (0, 1, 2)) == 0
-
-    def test_missing_simplex_rejected(self):
-        x = build_flag_complex(cycle_graph(4), max_dim=2)
-        with pytest.raises(ValueError):
-            simplex_degree(x, (0, 2))
-
-    def test_link_of_vertex_in_triangle(self):
-        x = build_flag_complex(complete_graph(3), max_dim=2)
-        assert link(x, (0,)) == [(1,), (2,), (1, 2)]
-
-    def test_link_of_edge_in_four_cycle(self):
-        x = build_flag_complex(cycle_graph(4), max_dim=2)
-        assert link(x, (0, 1)) == []
-
-    def test_link_matches_common_neighborhood(self):
-        # 1-skeleton of the link of sigma is the induced graph on the common neighbors
-        for seed in range(4):
-            g = random_gnp(8, 0.5, seed=3000 + seed)
-            x = build_flag_complex(g, max_dim=g.n - 1)
-            for k in (0, 1):
-                for sigma in x.skeleta[k][:10]:
-                    common = [
-                        v
-                        for v in range(g.n)
-                        if v not in sigma and all(g.has_edge(v, s) for s in sigma)
-                    ]
-                    lk = link(x, sigma)
-                    assert [t for t in lk if len(t) == 1] == [(v,) for v in common]
-                    expected_edges = [
-                        (u, v) for u, v in combinations(common, 2) if g.has_edge(u, v)
-                    ]
-                    assert [t for t in lk if len(t) == 2] == expected_edges
+        assert degree_of(x, (0, 1, 2)) == 0
 
     def test_flag_link_exchange_property(self):
         # eta in X(k-2), edge vw in lk(eta), u in lk(v eta) & lk(w eta) => vw in lk(u eta)
         for g in [turan_graph(3, 2), random_gnp(7, 0.6, 4), complete_graph(5)]:
             x = build_flag_complex(g, max_dim=g.n - 1)
+
+            def contains(simplex):
+                key = tuple(sorted(simplex))
+                return key in x.index[len(key) - 1]
+
             for eta in x.skeleta[0]:
                 for v, w in combinations(range(g.n), 2):
                     if v in eta or w in eta or not g.has_edge(v, w):
                         continue
-                    if not (x.contains(eta + (v, w))):
+                    if not contains(eta + (v, w)):
                         continue
                     for u in range(g.n):
                         if u in eta or u in (v, w):
                             continue
-                        if x.contains(tuple(sorted(eta + (v, u)))) and x.contains(
-                            tuple(sorted(eta + (w, u)))
-                        ):
-                            assert x.contains(tuple(sorted(eta + (u, v, w))))
+                        if contains(eta + (v, u)) and contains(eta + (w, u)):
+                            assert contains(eta + (u, v, w))
 
 
 class TestCochains:
-    def test_sort_sign(self):
-        assert sort_sign((0, 1, 2)) == 1
-        assert sort_sign((1, 0, 2)) == -1
-        assert sort_sign((2, 0, 1)) == 1
-
-    def test_value_on_permutation(self):
-        x = build_flag_complex(complete_graph(3), max_dim=2)
-        phi = Cochain(2, np.array([1.0]))
-        assert phi.value_on(x, (0, 1, 2)) == 1.0
-        assert phi.value_on(x, (1, 0, 2)) == -1.0
+    """The restriction gather: row u of `CochainIdentityChecker._restrict(phi)` is phi_u."""
 
     def test_restriction_of_triangle_indicator(self):
         # phi the indicator of the triangle [0,1,2]; restricting to vertex 1
         # gives value on [0,2] equal to the sign of (1,0,2), namely -1
         x = build_flag_complex(complete_graph(3), max_dim=2)
-        phi = Cochain(2, np.array([1.0]))
-        restricted = restriction_matrices(x, 2)[1] @ phi.values
-        idx = x.index[1][(0, 2)]
-        assert restricted[idx] == -1.0
-        assert restricted[x.index[1][(0, 1)]] == 0.0  # 1 already inside
+        restricted = CochainIdentityChecker(x, 2)._restrict(np.array([1.0]))
+        assert restricted.shape == (3, 3)
+        assert restricted[1, x.index[1][(0, 2)]] == -1.0
+        assert restricted[1, x.index[1][(0, 1)]] == 0.0  # 1 already inside
+        assert restricted[0, x.index[1][(1, 2)]] == 1.0
+        assert restricted[2, x.index[1][(0, 1)]] == 1.0
 
     def test_vertex_outside_every_simplex(self):
         g = Graph(4, [(0, 1), (1, 2), (0, 2)])
         x = build_flag_complex(g, max_dim=2)
-        phi = Cochain(2, np.ones(len(x.skeleta[2])))
-        assert not (restriction_matrices(x, 2)[3] @ phi.values).any()
+        restricted = CochainIdentityChecker(x, 2)._restrict(np.ones(len(x.skeleta[2])))
+        assert not restricted[3].any()
 
     def test_degree_zero_rejected(self):
         x = build_flag_complex(complete_graph(3), max_dim=2)
         with pytest.raises(ValueError):
-            restriction_matrices(x, 0)
+            CochainIdentityChecker(x, 0)
 
     def test_restriction_norm_double_count(self):
         # sum over vertices of ||phi_u||^2 equals (k+1) ||phi||^2
@@ -382,12 +376,9 @@ class TestCochains:
             for k in range(1, x.max_dim + 1):
                 if not x.skeleta[k]:
                     break
-                phi = random_cochain(x, k, rng)
-                total = sum(
-                    float(np.dot(r, r)) for r in (m @ phi.values for m in restriction_matrices(x, k))
-                )
-                norm = float(np.dot(phi.values, phi.values))
-                assert total == pytest.approx((k + 1) * norm, rel=1e-12)
+                phi = gauss_cochain(rng, x, k)
+                restricted = CochainIdentityChecker(x, k)._restrict(phi)
+                assert (restricted**2).sum() == pytest.approx((k + 1) * float(np.dot(phi, phi)), rel=1e-12)
 
 
 class TestNetworkxOracle:

@@ -19,9 +19,12 @@ from flagspectra import (
     cycle_graph,
     random_gnp,
     turan_graph,
-    verify_cochain_identities,
 )
-from flagspectra.complexes import Cochain, random_cochain
+from flagspectra import complexes
+
+
+def gauss_cochain(rng, x, k):
+    return np.array([rng.next_gauss() for _ in x.skeleta[k]])
 
 
 def identity_corpus():
@@ -51,7 +54,7 @@ class TestHandValues:
     def test_zero_cochain_zero_residuals(self):
         x = build_flag_complex(turan_graph(3, 2), max_dim=5)
         for k in (1, 2):
-            for rec in verify_cochain_identities(x, k, np.zeros(len(x.skeleta[k]))):
+            for rec in CochainIdentityChecker(x, k).residuals(np.zeros(len(x.skeleta[k]))):
                 assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.slack == 0.0
                 assert rec.passed
 
@@ -66,13 +69,12 @@ class TestRandomCochains:
                     break
                 checker = CochainIdentityChecker(x, k)
                 for _ in range(5):
-                    phi = random_cochain(x, k, rng)
-                    for rec in checker.residuals(phi.values):
+                    for rec in checker.residuals(gauss_cochain(rng, x, k)):
                         assert rec.passed, rec
 
     def test_reports_six_named_checks(self):
         x = build_flag_complex(complete_graph(4), max_dim=3)
-        recs = verify_cochain_identities(x, 1, np.ones(len(x.skeleta[1])))
+        recs = CochainIdentityChecker(x, 1).residuals(np.ones(len(x.skeleta[1])))
         assert [rec.check for rec in recs] == [
             "coboundary_norm",
             "restricted_coboundary_norm",
@@ -82,12 +84,40 @@ class TestRandomCochains:
             "restriction_double_count",
         ]
 
+    def test_flipped_restriction_sign_fails(self, monkeypatch):
+        # negate one entry of the gather: the identities that read the
+        # restrictions through a coboundary or the Laplacian must notice
+        gather = CochainIdentityChecker._restrict
+
+        def flipped(self, phi):
+            out = gather(self, phi)
+            u, face = np.argwhere(out)[0]
+            out[u, face] = -out[u, face]
+            return out
+
+        monkeypatch.setattr(CochainIdentityChecker, "_restrict", flipped)
+        x = build_flag_complex(complete_graph(5), max_dim=4)
+        for k in (1, 2, 3):
+            recs = CochainIdentityChecker(x, k).residuals(gauss_cochain(SplitMix64(7), x, k))
+            assert not all(rec.passed for rec in recs), k
+
+
+class TestDenseCap:
+    def test_k5_degree_two_under_800_bytes(self, monkeypatch):
+        # every array the degree-2 checker of K5 needs is at most 800 bytes:
+        # the 10 x 10 coboundary and Laplacians, and the 5 x 10 gather (400)
+        monkeypatch.setattr(complexes, "DENSE_BYTES_CAP", 800)
+        x = build_flag_complex(complete_graph(5), max_dim=4)
+        recs = CochainIdentityChecker(x, 2).residuals(gauss_cochain(SplitMix64(11), x, 2))
+        assert len(recs) == 6 and all(rec.passed for rec in recs)
+
 
 class TestValidation:
     def test_degree_mismatch_rejected(self):
+        # a degree-1 cochain (6 edges) handed to the degree-2 checker (4 triangles)
         x = build_flag_complex(complete_graph(4), max_dim=3)
         with pytest.raises(ValueError, match="degree"):
-            verify_cochain_identities(x, 2, Cochain(1, np.ones(len(x.skeleta[1]))))
+            CochainIdentityChecker(x, 2).residuals(np.ones(len(x.skeleta[1])))
 
     def test_wrong_length_rejected(self):
         x = build_flag_complex(complete_graph(4), max_dim=3)

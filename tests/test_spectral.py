@@ -21,7 +21,6 @@ from flagspectra import (
     build_flag_complex,
     complete_graph,
     cycle_graph,
-    flag_connectivity,
     hodge_laplacian,
     independence_connectivity,
     laplacian_matrix,
@@ -110,7 +109,8 @@ class TestHodgeLaplacian:
                 above = sparse.csr_array((0, len(x.skeleta[k])), dtype=np.int64)
             expected = (below @ below.T + above.T @ above).toarray()
             got = hodge_laplacian(x, k)
-            assert got.dtype == expected.dtype == np.int64
+            assert expected.dtype == np.int64 and got.dtype == np.float64
+            assert np.array_equal(got, np.round(got))  # every entry integral
             assert np.array_equal(got, expected)
 
     def test_dense_laplacian_capped_before_allocation(self, monkeypatch):
@@ -247,7 +247,7 @@ class TestConnectivityHelpers:
         assert eta.value() == 1
 
     def test_flag_connectivity_of_edgeless(self):
-        eta = flag_connectivity(Graph(3))
+        eta = betti_profile(build_flag_complex(Graph(3), max_dim=2)).connectivity
         assert eta.value() == 1  # three points: already disconnected
 
     # at most three doubled vertices keep each blow-up to 9 vertices, since

@@ -28,7 +28,6 @@ from flagspectra import (
     cycle_graph,
     sdr_search,
 )
-from flagspectra.complexes import Cochain
 from flagspectra.hypergraphs import SdrSearch
 from flagspectra.spectral import BettiProfile, CochainIdentityChecker
 
@@ -57,7 +56,7 @@ def is_named_tuple(cls) -> bool:
 class TestOneIdiom:
     def test_classes_found(self):
         names = {cls.__name__ for cls in package_classes()}
-        assert {"Graph", "LinearProgram", "FamilySweep", "CheckRecord", "Cochain"} <= names
+        assert {"Graph", "LinearProgram", "FamilySweep", "CheckRecord"} <= names
 
     @pytest.mark.parametrize("cls", package_classes(), ids=lambda cls: cls.__name__)
     def test_no_dataclass_or_cached_property(self, cls):
@@ -145,4 +144,3 @@ class TestValueEquality:
         # types holding arrays keep identity equality, as before
         a = LinearProgram(np.eye(2))
         assert a != LinearProgram(np.eye(2)) and a == a
-        assert Cochain(0, np.zeros(1)) != Cochain(0, np.zeros(1))
