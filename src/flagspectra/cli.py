@@ -264,11 +264,13 @@ def cmd_spectra(args) -> list[CheckRecord]:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except ValueError as exc:  # malformed JSON or not UTF-8
-            raise InputFormatError(f"{path}: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise InputFormatError(str(exc)) from exc
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def _parse_reps(spec: str, g: Graph):

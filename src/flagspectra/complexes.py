@@ -118,7 +118,7 @@ def build_flag_complex(
     check_vertex_count(g.n, simplex_cap)
 
     skeleta = [tuple((v,) for v in range(g.n))]
-    masks = [tuple(g.adjacency_mask(v) for v in range(g.n))]
+    masks = [g.masks]
     for k in range(1, max_dim + 1):
         level = []
         level_masks = []
@@ -128,7 +128,7 @@ def build_flag_complex(
             while ext:
                 if ext & 1:
                     level.append(sigma + (w,))
-                    level_masks.append(mask & g.adjacency_mask(w))
+                    level_masks.append(mask & g.masks[w])
                 ext >>= 1
                 w += 1
             if len(level) > simplex_cap:

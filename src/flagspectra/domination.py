@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InputFormatError
-from .graphs import Graph, _bits, _json_int, cycle_graph
+from .graphs import Graph, _bits, _json_int, complement, cycle_graph
 from .lp import LinearProgram, solve_covering_lp
 from .reports import CheckRecord
 from .spectral import Connectivity
@@ -43,7 +43,7 @@ class DominationReport:
 
 
 def _closed_masks(g: Graph) -> list[int]:
-    return [g.adjacency_mask(v) | (1 << v) for v in range(g.n)]
+    return [mask | (1 << v) for v, mask in enumerate(g.masks)]
 
 
 def smallest_cover(masks: Sequence[int], target: int, candidates: Sequence[int]) -> tuple[int, ...] | None:
@@ -83,8 +83,7 @@ def total_domination_number(g: Graph, cap: int = EXACT_SEARCH_CAP) -> Domination
     if g.isolated_vertices():
         raise ValueError("no totally dominating set exists (isolated vertex)")
     full = (1 << g.n) - 1
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
-    witness = smallest_cover(masks, full, range(g.n))
+    witness = smallest_cover(g.masks, full, range(g.n))
     assert witness is not None  # no isolated vertices, so all n vertices work
     return DominationReport("total_domination_number", len(witness), witness)
 
@@ -96,7 +95,7 @@ def _maximal_independent_sets(g: Graph) -> list[int]:
     with Tomita's pivot, so the work follows the number of sets, not 2^n.
     """
     everything = (1 << g.n) - 1
-    apart = [everything & ~g.adjacency_mask(v) & ~(1 << v) for v in range(g.n)]
+    apart = complement(g).masks
     out = []
 
     def extend(chosen, candidates, excluded):
@@ -129,11 +128,10 @@ def independent_domination_number(g: Graph, cap: int = INDEP_SEARCH_CAP) -> Domi
             g.isolated_vertices()[:1],
             notes="isolated vertex can never be covered by open neighborhoods",
         )
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
     best_value = 0
     best_witness = ((), ())
     for ind_mask in _maximal_independent_sets(g):
-        cover = smallest_cover(masks, ind_mask, range(g.n))
+        cover = smallest_cover(g.masks, ind_mask, range(g.n))
         assert cover is not None  # no isolated vertices
         if len(cover) > best_value:
             best_value = len(cover)
@@ -188,14 +186,14 @@ class VectorRepresentation:
         return self.matrix @ self.matrix.T
 
 
-def validate_representation(rep: VectorRepresentation, tol: float = GRAM_TOL) -> bool:
+def validate_representation(rep: VectorRepresentation) -> bool:
     """Dot products at least 1 on edges and at least 0 on non-adjacent pairs."""
     gram = rep.gram().astype(np.float64)
     g = rep.graph
     for u in range(g.n):
         for v in range(u + 1, g.n):
             need = 1.0 if g.has_edge(u, v) else 0.0
-            if gram[u, v] < need - tol:
+            if gram[u, v] < need - GRAM_TOL:
                 return False
     return True
 
@@ -307,9 +305,7 @@ def representation_from_json_dict(g: Graph, data: dict) -> VectorRepresentation:
 # -- verifiers ------------------------------------------------------------------
 
 
-def verify_spectral_connectivity_bound(
-    n: int, lam: float, eta: Connectivity, instance: str = "", tol: float = BOUND_TOL
-) -> CheckRecord:
+def verify_spectral_connectivity_bound(n: int, lam: float, eta: Connectivity, instance: str = "") -> CheckRecord:
     """Connectivity eta of the independent-set complex of an n-vertex graph
     is at least n / lambda_max."""
     bound = n / lam if lam > 1e-12 else math.inf
@@ -317,7 +313,7 @@ def verify_spectral_connectivity_bound(
         ok = True if eta.infinite else None
         detail = "edgeless graph; complex is a full simplex" if eta.infinite else "unbounded target"
     else:
-        ok = eta.at_least(bound - tol)
+        ok = eta.at_least(bound - BOUND_TOL)
         detail = "" if ok else f"connectivity {eta.describe()} below {bound:.6g}"
         if ok is None:
             detail = f"inconclusive: connectivity {eta.describe()}"
@@ -333,9 +329,7 @@ def verify_spectral_connectivity_bound(
     )
 
 
-def verify_gram_row_bound(
-    lam: float, rep: VectorRepresentation, instance: str = "", tol: float = BOUND_TOL
-) -> CheckRecord:
+def verify_gram_row_bound(lam: float, rep: VectorRepresentation, instance: str = "") -> CheckRecord:
     """lambda_max of the representation's graph is at most the largest row
     sum of the representation Gram matrix.  The representation must satisfy
     the Gram conditions, which representation_value checks."""
@@ -348,16 +342,16 @@ def verify_gram_row_bound(
         lhs=lam,
         rhs=bound,
         slack=bound - lam,
-        passed=lam <= bound + tol,
+        passed=lam <= bound + BOUND_TOL,
     )
 
 
 def verify_representation_connectivity_bound(
-    bound: DominationReport, eta: Connectivity, instance: str = "", tol: float = BOUND_TOL
+    bound: DominationReport, eta: Connectivity, instance: str = ""
 ) -> CheckRecord:
     """Connectivity eta of the independent-set complex dominates the value
     of every supplied representation, as reported by best_representation_value."""
-    ok = eta.at_least(bound.value - tol) if not math.isinf(bound.value) else eta.at_least(math.inf)
+    ok = eta.at_least(bound.value - BOUND_TOL) if not math.isinf(bound.value) else eta.at_least(math.inf)
     eta_value = math.inf if eta.infinite else float(eta.floor)
     return CheckRecord(
         check="connectivity_representation_bound",

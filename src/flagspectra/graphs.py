@@ -1,15 +1,16 @@
 """Simple undirected graphs: generators, Laplacian spectra, complement, blow-up.
 
 Vertices are the dense integers 0..n-1.  Graphs are immutable once built;
-adjacency is kept both as a frozenset of sorted pairs and as per-vertex
-bitmasks (arbitrary-precision ints), which the clique enumeration and the
-exact domination searches rely on.
+adjacency is kept only as per-vertex neighbour bitmasks (arbitrary-precision
+ints), which the clique enumeration and the exact domination searches read
+directly and from which the derived graphs are built in O(n) masks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,58 +64,60 @@ class SplitMix64:
 class Graph:
     """Immutable simple undirected graph on the vertex set {0..n-1}.
 
-    Self-loops are rejected; duplicate edges collapse (edges form a set).
+    Bit u of `masks[v]` is set iff uv is an edge.  Self-loops are rejected;
+    duplicate edges collapse.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj = [0] * n
-        canon = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            canon.add((u, v) if u < v else (v, u))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(canon)
-        self._adj = tuple(adj)
+        self.masks = tuple(masks)
+
+    @classmethod
+    def _from_masks(cls, masks: Iterable[int]) -> Graph:
+        """The graph of trusted neighbour masks: symmetric, loop-free, in range."""
+        g = cls.__new__(cls)
+        g.masks = tuple(masks)
+        g.n = len(g.masks)
+        return g
 
     # -- queries ---------------------------------------------------------
 
-    def adjacency_mask(self, v: int) -> int:
-        """Neighbors of v as a bitmask."""
-        return self._adj[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self._adj[v]))
+        return tuple(_bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool(self._adj[u] >> v & 1)
+        return u != v and bool(self.masks[u] >> v & 1)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self._adj[v] == 0)
+        return tuple(v for v in range(self.n) if self.masks[v] == 0)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, v) for u, mask in enumerate(self.masks) for v in _bits(mask >> (u + 1) << (u + 1))]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -131,7 +134,8 @@ def _bits(mask: int):
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    full = (1 << n) - 1
+    return Graph._from_masks(full ^ (1 << v) for v in range(n))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -146,8 +150,8 @@ def turan_graph(r: int, ell: int) -> Graph:
     if r < 1 or ell < 1:
         raise ValueError("block count and block size must be positive")
     n = r * ell
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if u // ell != v // ell]
-    return Graph(n, edges)
+    full, block = (1 << n) - 1, (1 << ell) - 1
+    return Graph._from_masks(full ^ (block << (v - v % ell)) for v in range(n))
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
@@ -168,8 +172,8 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    return Graph(g.n, edges)
+    full = (1 << g.n) - 1
+    return Graph._from_masks(full ^ mask ^ (1 << v) for v, mask in enumerate(g.masks))
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
@@ -177,9 +181,10 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     verts = sorted(set(vertices))
     if verts and not (0 <= verts[0] and verts[-1] < g.n):
         raise ValueError("vertex out of range")
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return Graph(len(verts), edges)
+    # bit i of a new mask is bit verts[i] of the old one
+    return Graph._from_masks(
+        sum(1 << i for i, u in enumerate(verts) if g.masks[v] >> u & 1) for v in verts
+    )
 
 
 def blow_up(g: Graph, weights: Sequence[int]) -> Graph:
@@ -194,17 +199,16 @@ def blow_up(g: Graph, weights: Sequence[int]) -> Graph:
         raise ValueError("need one weight per vertex")
     if any(w <= 0 for w in weights):
         raise ValueError("blow-up weights must be positive")
-    offsets = [0] * g.n
-    total = 0
-    for v in range(g.n):
-        offsets[v] = total
-        total += weights[v]
-    edges = []
-    for u, v in g.sorted_edges():
-        for i in range(weights[u]):
-            for j in range(weights[v]):
-                edges.append((offsets[u] + i, offsets[v] + j))
-    return Graph(total, edges)
+    # blocks[v] marks the copies of v; a copy of v is adjacent to the copies
+    # of v's neighbours
+    blocks = [((1 << w) - 1) << offset for w, offset in zip(weights, accumulate(weights, initial=0))]
+    masks = []
+    for v, mask in enumerate(g.masks):
+        joined = 0
+        for u in _bits(mask):
+            joined |= blocks[u]
+        masks.extend([joined] * weights[v])
+    return Graph._from_masks(masks)
 
 
 # -- Laplacian spectra -------------------------------------------------------
@@ -214,13 +218,11 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian as an exact int64 matrix: deg on the diagonal, -1 on edges."""
     if g.n == 0:
         raise ValueError("empty graph")
-    lap = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        lap[u, v] = -1
-        lap[v, u] = -1
-    for v in range(g.n):
-        lap[v, v] = g.degree(v)
-    return lap
+    width = (g.n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in g.masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width)
+    adjacency = np.unpackbits(rows, axis=1, count=g.n, bitorder="little").astype(np.int64)
+    return np.diag(adjacency.sum(axis=1)) - adjacency
 
 
 def laplacian_spectrum(g: Graph) -> np.ndarray:
@@ -257,8 +259,8 @@ def _json_int(value) -> int:
 
 def check_vertex_count(n: int, simplex_cap: int) -> None:
     """Every command builds a complex whose 0-skeleton holds all n vertices, so
-    a graph with more vertices than the simplex cap is refused before its
-    Graph (O(n) lists) or its generation (O(n^2) pairs) allocates."""
+    a graph with more vertices than the simplex cap is refused before its n
+    neighbour masks (n bits each) are allocated."""
     if n > simplex_cap:
         raise CapExceeded(f"complex too large: {n} simplices in dimension 0 (cap {simplex_cap})")
 
@@ -323,8 +325,11 @@ def load_graph(path: str, simplex_cap: int) -> Graph:
 
     A graph with more vertices than simplex_cap raises CapExceeded before its
     Graph is built."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputFormatError(str(exc)) from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

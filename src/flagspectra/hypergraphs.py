@@ -70,9 +70,6 @@ class Hypergraph(_Value):
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_masks(self) -> list[int]:
-        return _edge_masks(self.edges, _vertex_ranks(self.edges))
-
 
 def _vertex_ranks(edges) -> dict[int, int]:
     """Each vertex the edges list, mapped to its rank among them.  Bitmasks
@@ -157,10 +154,8 @@ def line_graph(h: Hypergraph) -> Graph:
     """
     if h.num_edges == 0:
         raise ValueError("empty hypergraph")
-    masks = h.edge_masks()
-    m = len(masks)
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m) if masks[i] & masks[j]]
-    return Graph(m, edges)
+    # every edge meets itself; the line graph drops that loop
+    return Graph._from_masks(row ^ (1 << i) for i, row in enumerate(_meets(_gram(h))))
 
 
 def width(h: Hypergraph, cap: int = WIDTH_SEARCH_CAP) -> tuple[int, tuple[int, ...]]:
@@ -170,17 +165,14 @@ def width(h: Hypergraph, cap: int = WIDTH_SEARCH_CAP) -> tuple[int, tuple[int, .
         raise ValueError("empty hypergraph")
     if m > cap:
         raise CapExceeded(f"width search capped at {cap} edges (got {m})")
-    masks = h.edge_masks()
-    # meets[j] has bit i set iff edges i and j intersect; intersecting is
-    # symmetric, so a combo meets every edge iff the OR of its rows is full
-    meets = [sum(1 << i for i, other in enumerate(masks) if mask & other) for mask in masks]
-    combo = smallest_cover(meets, (1 << m) - 1, range(m))
+    # intersecting is symmetric, so a combo meets every edge iff the OR of
+    # its meets rows is full
+    combo = smallest_cover(_meets(_gram(h)), (1 << m) - 1, range(m))
     return len(combo), combo
 
 
 def _incidence_matrix(h: Hypergraph) -> np.ndarray:
-    """The 0/1 int64 incidence matrix, edges x occurring vertices; B @ B.T
-    holds the pairwise intersection sizes."""
+    """The 0/1 int64 incidence matrix, edges x occurring vertices."""
     rank = _vertex_ranks(h.edges)
     mat = np.zeros((h.num_edges, len(rank)), dtype=np.int64)
     rows = [i for i, e in enumerate(h.edges) for _ in e]
@@ -189,12 +181,24 @@ def _incidence_matrix(h: Hypergraph) -> np.ndarray:
     return mat
 
 
+def _gram(h: Hypergraph) -> np.ndarray:
+    """The pairwise intersection sizes of the edges, B @ B.T for the incidence matrix B."""
+    b = _incidence_matrix(h)
+    return b @ b.T
+
+
+def _meets(gram: np.ndarray) -> list[int]:
+    """Bit i of meets[j] is set iff edges i and j intersect, i.e. the Gram
+    entry is positive; every edge meets itself."""
+    bits = np.packbits(gram > 0, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
 def fractional_width_lp(h: Hypergraph) -> LinearProgram:
     """Covering LP: weight edges so each edge sees total weighted intersection >= 1."""
     if h.num_edges == 0:
         raise ValueError("empty hypergraph")
-    b = _incidence_matrix(h)
-    return LinearProgram(b @ b.T)
+    return LinearProgram(_gram(h))
 
 
 def fractional_width(h: Hypergraph) -> float:
@@ -316,11 +320,8 @@ def sweep_family(
     whole = fam.union(range(fam.size))
     if whole.num_edges > width_cap:
         raise CapExceeded(f"width search capped at {width_cap} edges (got {whole.num_edges})")
-    incidence = _incidence_matrix(whole)
-    gram = incidence @ incidence.T
-    # meets[j] has bit i set iff edges i and j of the full union intersect
-    bits = np.packbits(gram > 0, axis=1, bitorder="little")
-    meets = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    gram = _gram(whole)
+    meets = _meets(gram)
     # select[mask - 1] marks the edges of the union a subset mask selects;
     # per union size r, the Grams of all such unions are one (k, r, r) stack
     owner = np.repeat(np.arange(fam.size), [h.num_edges for h in fam.members])
@@ -395,24 +396,24 @@ def _closing_record(check: str, claim: str, instance: str, search: SdrSearch, vi
     return CheckRecord(check=check, claim=claim, instance=instance, slack=slack, passed=passed, detail=detail)
 
 
-def verify_fractional_width_condition(sweep: FamilySweep, instance: str = "", tol: float = STRICT_TOL) -> list[CheckRecord]:
+def verify_fractional_width_condition(sweep: FamilySweep, instance: str = "") -> list[CheckRecord]:
     """Fractional width above |I|-1 on every subfamily union forces representatives.
 
-    Margins within tol of zero leave the strict hypothesis undecidable from
-    floating point, so such families are reported inconclusive rather than
-    asserted either way.
+    Margins within STRICT_TOL of zero leave the strict hypothesis
+    undecidable from floating point, so such families are reported
+    inconclusive rather than asserted either way.
     """
     records = []
     borderline = False
     violated = None
     for label, k, value, margin, _, _ in sweep.margins:
-        if margin < -tol and violated is None:
+        if margin < -STRICT_TOL and violated is None:
             violated = label
-        if abs(margin) <= tol:
+        if abs(margin) <= STRICT_TOL:
             borderline = True
-        if margin > tol:
+        if margin > STRICT_TOL:
             note = "hypothesis margin met"
-        elif margin < -tol:
+        elif margin < -STRICT_TOL:
             note = "hypothesis not met"
         else:
             note = "borderline (within tolerance)"
@@ -468,11 +469,11 @@ def verify_integral_width_condition(sweep: FamilySweep, instance: str = "") -> l
     return records
 
 
-def compare_width_conditions(sweep: FamilySweep, instance: str = "", tol: float = STRICT_TOL) -> list[CheckRecord]:
+def compare_width_conditions(sweep: FamilySweep, instance: str = "") -> list[CheckRecord]:
     """Side-by-side report of the two sufficient conditions on one family."""
-    records = verify_fractional_width_condition(sweep, instance=instance, tol=tol)
+    records = verify_fractional_width_condition(sweep, instance=instance)
     records += verify_integral_width_condition(sweep, instance=instance)
-    frac_holds = sweep.worst_fractional > tol
+    frac_holds = sweep.worst_fractional > STRICT_TOL
     int_holds = sweep.first_integral_short is None
     detail = f"fractional condition: {'met' if frac_holds else 'not met'}; integral condition: {'met' if int_holds else 'not met'}"
     if frac_holds and not int_holds:

@@ -209,9 +209,7 @@ def independence_connectivity(
 # -- eigenvalue recursion and vanishing threshold ---------------------------
 
 
-def verify_eigenvalue_recursion(
-    profile: BettiProfile, n: int, instance: str = "", tol: float = RECURSION_TOL
-) -> list[CheckRecord]:
+def verify_eigenvalue_recursion(profile: BettiProfile, n: int, instance: str = "") -> list[CheckRecord]:
     """Check k*mu_k >= (k+1)*mu_(k-1) - n over every consecutive pair of
     nonempty degrees of a clique complex on n vertices.
 
@@ -235,19 +233,13 @@ def verify_eigenvalue_recursion(
                 lhs=lhs,
                 rhs=rhs,
                 slack=slack,
-                passed=slack >= -tol,
+                passed=slack >= -RECURSION_TOL,
             )
         )
     return records
 
 
-def verify_vanishing_threshold(
-    profile: BettiProfile,
-    gap: float,
-    n: int,
-    instance: str = "",
-    margin_tol: float = THRESHOLD_MARGIN,
-) -> list[CheckRecord]:
+def verify_vanishing_threshold(profile: BettiProfile, gap: float, n: int, instance: str = "") -> list[CheckRecord]:
     """When the spectral gap of the n-vertex graph clears k*n/(k+1), the
     degree-k reduced Betti number of its clique complex must vanish.
 
@@ -262,7 +254,7 @@ def verify_vanishing_threshold(
             continue
         threshold = k * n / (k + 1)
         margin = gap - threshold
-        if margin > margin_tol:
+        if margin > THRESHOLD_MARGIN:
             ok = betti == 0
             detail = "" if ok else f"betti[{k}] = {betti}"
         else:
@@ -342,7 +334,7 @@ class CochainIdentityChecker:
         self._pair_iw = rho_faces[:, i].ravel()
         self._pair_sign = np.tile(-(signs[i] * signs[j]), len(rho_faces)).astype(np.float64)
 
-    def residuals(self, phi: np.ndarray, instance: str = "", tol: float = IDENTITY_TOL) -> list[CheckRecord]:
+    def residuals(self, phi: np.ndarray, instance: str = "") -> list[CheckRecord]:
         """Evaluate both sides of each identity for one cochain."""
         k = self.k
         phi = np.asarray(phi, dtype=np.float64)
@@ -400,7 +392,7 @@ class CochainIdentityChecker:
         records = []
         for name, claim, lhs, rhs in checks:
             residual = abs(lhs - rhs)
-            allowed = tol * (1.0 + max(abs(lhs), abs(rhs)))
+            allowed = IDENTITY_TOL * (1.0 + max(abs(lhs), abs(rhs)))
             records.append(
                 CheckRecord(
                     check=name,

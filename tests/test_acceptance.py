@@ -196,14 +196,14 @@ def test_criterion_8_spectral_bounds(corpus_data):
         for label, g, x, profile, mus in corpus_data:
             lam = lambda_max(g)
             eta = independence_connectivity(g)
-            rec = verify_spectral_connectivity_bound(g.n, lam, eta, instance=label, tol=1e-7)
+            rec = verify_spectral_connectivity_bound(g.n, lam, eta, instance=label)
             assert rec.passed is not False, (label, rec.detail)
             if g.num_edges:
-                rec = verify_gram_row_bound(lam, edge_incidence_representation(g), instance=label, tol=1e-7)
+                rec = verify_gram_row_bound(lam, edge_incidence_representation(g), instance=label)
                 assert rec.passed, label
         for k in range(1, 5):
             lam = lambda_max(cycle_graph(3 * k))
-            rec = verify_gram_row_bound(lam, cycle_representation(k), instance=f"cycle({3 * k})", tol=1e-7)
+            rec = verify_gram_row_bound(lam, cycle_representation(k), instance=f"cycle({3 * k})")
             assert rec.passed
 
 
@@ -212,7 +212,7 @@ def test_criterion_9_fractional_width_condition():
         start = time.monotonic()
         asserted = 0
         for label, fam in family_corpus(count=100, seed=42):
-            records = verify_fractional_width_condition(sweep_family(fam), instance=label, tol=1e-7)
+            records = verify_fractional_width_condition(sweep_family(fam), instance=label)
             final = records[-1]
             assert final.passed is not False, (label, final.detail)
             if final.passed is True and "representatives" in final.detail:

@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import argparse
+import errno
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -568,8 +570,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "input error: broken.json: Expecting value: line 1 column 7 (char 6)\n"
 
-    def test_missing_file(self):
+    def test_missing_file(self, capsys):
         assert main(["spectra", "--graph", "/nonexistent/file.json"]) == 2
+        assert capsys.readouterr().err == "input error: [Errno 2] No such file or directory: '/nonexistent/file.json'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectra", "--graph", "{}"],
+            ["sdr", "--family", "{}"],
+            ["width", "--hypergraph", "{}"],
+            ["domination", "--cycle", "3", "--reps", "file:{}"],
+        ],
+        ids=["graph", "family", "hypergraph", "representation"],
+    )
+    def test_unreadable_path_is_an_input_error(self, argv, tmp_path, capsys):
+        assert main([arg.format(tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))}\n"
 
     def test_malformed_graph(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -594,6 +613,20 @@ class TestExitCodes:
         assert main(["spectra", *source]) == 3
         assert time.monotonic() - start < 1.0
         assert "dimension 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, count", [(["--complete", "700"], 244650), (["--turan", "35", "20"], 238000)], ids=["complete", "turan"]
+    )
+    def test_generation_holds_no_pair_list(self, source, count, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["spectra", *source]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = f"cap exceeded: complex too large: {count} simplices in dimension 1 (cap 20000)\n"
+        assert capsys.readouterr().err == expected
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize(
         "text", [json.dumps({"n": 5000000, "edges": []}), "5000000 0\n"], ids=["json", "text"]

@@ -387,7 +387,7 @@ class TestNetworkxOracle:
     def test_skeleta_are_networkx_cliques(self, g):
         oracle = nx.Graph()
         oracle.add_nodes_from(range(g.n))
-        oracle.add_edges_from(g.edges)
+        oracle.add_edges_from(g.sorted_edges())
         by_size = {}
         for clique in nx.enumerate_all_cliques(oracle):
             by_size.setdefault(len(clique), []).append(tuple(sorted(clique)))

@@ -121,7 +121,7 @@ class TestExactParameters:
         g = Graph(n, [(u, v) for u, v in pairs if u != v])
         oracle = nx.Graph()
         oracle.add_nodes_from(range(n))
-        oracle.add_edges_from(g.edges)
+        oracle.add_edges_from(g.sorted_edges())
         cliques = nx.find_cliques(nx.complement(oracle))
         assert _maximal_independent_sets(g) == sorted(sum(1 << v for v in clique) for clique in cliques)
 

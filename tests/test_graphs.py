@@ -181,7 +181,7 @@ class TestComplement:
 
 class TestGenerators:
     def test_turan_2_2_is_labeled_four_cycle(self):
-        assert turan_graph(2, 2).edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
+        assert turan_graph(2, 2).sorted_edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_turan_singleton_blocks(self):
         assert turan_graph(4, 1) == complete_graph(4)
@@ -217,7 +217,7 @@ class TestBlowUp:
     def test_edge_blows_to_complete_bipartite(self):
         got = blow_up(Graph(2, [(0, 1)]), (2, 2))
         assert got.n == 4
-        assert got.edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
+        assert got.sorted_edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_copies_stay_independent(self):
         g = random_gnp(5, 0.6, 3)
@@ -232,6 +232,98 @@ class TestBlowUp:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             blow_up(Graph(2, [(0, 1)]), (1, 0))
+
+
+# -- the edge-set construction a Graph once stored, kept as an oracle ---------
+
+
+def canonical_edges(edges):
+    """The edge set as sorted pairs, duplicates and orientation collapsed."""
+    return frozenset((u, v) if u < v else (v, u) for u, v in edges)
+
+
+def pair_list_complete(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def pair_list_turan(r, ell):
+    n = r * ell
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // ell != v // ell])
+
+
+def pair_list_complement(g):
+    edges = canonical_edges(g.sorted_edges())
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in edges])
+
+
+def pair_list_induced(g, vertices):
+    verts = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(verts)}
+    return Graph(len(verts), [(pos[u], pos[v]) for u, v in g.sorted_edges() if u in pos and v in pos])
+
+
+def pair_list_blow_up(g, weights):
+    offsets = [sum(weights[:v]) for v in range(g.n)]
+    edges = [
+        (offsets[u] + i, offsets[v] + j)
+        for u, v in g.sorted_edges()
+        for i in range(weights[u])
+        for j in range(weights[v])
+    ]
+    return Graph(sum(weights), edges)
+
+
+# (n, edge list) on 2-9 vertices; each third pair is repeated reversed, so
+# lists hold duplicates in both orientations
+edge_lists = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda p: (p[0], (p[0] + p[1]) % n)),
+            max_size=30,
+        ).map(lambda pairs: pairs + [(v, u) for u, v in pairs[::3]]),
+    )
+)
+oracle_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestMaskRepresentation:
+    @oracle_settings
+    @given(edge_lists, edge_lists)
+    def test_queries_match_edge_set(self, first, second):
+        (n, edges), (n2, edges2) = first, second
+        g, g2 = Graph(n, edges), Graph(n2, edges2)
+        canon = canonical_edges(edges)
+        assert g.sorted_edges() == sorted(canon)
+        assert g.num_edges == len(canon)
+        twin = Graph(n, [(v, u) for u, v in sorted(canon, reverse=True)])
+        assert g == twin and hash(g) == hash(twin)
+        assert (g == g2) == ((n, canon) == (n2, canonical_edges(edges2)))
+        lap = np.zeros((n, n), dtype=np.int64)
+        for u, v in canon:
+            lap[u, v] = lap[v, u] = -1
+            lap[u, u] += 1
+            lap[v, v] += 1
+        assert np.array_equal(laplacian_matrix(g), lap)
+
+    @oracle_settings
+    @given(edge_lists, st.data())
+    def test_derived_graphs_match_pair_lists(self, case, data):
+        n, edges = case
+        g = Graph(n, edges)
+        assert complement(g) == pair_list_complement(g)
+        assert complement(complement(g)) == g
+        vertices = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        assert induced_subgraph(g, vertices) == pair_list_induced(g, vertices)
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        assert blow_up(g, weights) == pair_list_blow_up(g, weights)
+
+    def test_generators_match_pair_lists(self):
+        for n in range(8):
+            assert complete_graph(n) == pair_list_complete(n)
+        for r in range(1, 5):
+            for ell in range(1, 5):
+                assert turan_graph(r, ell) == pair_list_turan(r, ell)
 
 
 class TestSplitMix:

@@ -45,6 +45,11 @@ from flagspectra.hypergraphs import (
 )
 
 
+def vertex_masks(h):
+    """Each edge as a bitmask of its vertices."""
+    return [sum(1 << v for v in e) for e in h.edges]
+
+
 def triangle_hypergraph():
     return Hypergraph(3, [[0, 1], [1, 2], [0, 2]])
 
@@ -78,7 +83,7 @@ class TestLineGraph:
 
     def test_path_of_overlaps(self):
         g = line_graph(Hypergraph(4, [[0, 1], [1, 2], [2, 3]]))
-        assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert g.sorted_edges() == [(0, 1), (1, 2)]
 
     def test_duplicate_edges_are_adjacent(self):
         assert line_graph(Hypergraph(1, [[0], [0]])) == complete_graph(2)
@@ -90,7 +95,7 @@ class TestLineGraph:
     def test_matchings_are_independent_sets(self):
         h = Hypergraph(5, [[0, 1], [1, 2], [3], [4], [2, 4]])
         g = line_graph(h)
-        masks = h.edge_masks()
+        masks = vertex_masks(h)
         for mask in range(1 << h.num_edges):
             chosen = [i for i in range(h.num_edges) if mask >> i & 1]
             disjoint = all(
@@ -151,7 +156,7 @@ class TestFractionalWidth:
 def brute_force_width(h):
     """Reference search: test every edge against every combo member, in the
     same combination order as `width`."""
-    masks = h.edge_masks()
+    masks = vertex_masks(h)
     m = len(masks)
     for t in range(1, m + 1):
         for combo in combinations(range(m), t):
@@ -206,9 +211,19 @@ class TestWidthProperties:
     @property_settings
     @given(hypergraphs)
     def test_lp_matrix_is_intersection_sizes(self, h):
-        masks = h.edge_masks()
+        masks = vertex_masks(h)
         expected = np.array([[(a & b).bit_count() for b in masks] for a in masks], dtype=float)
         assert np.array_equal(fractional_width_lp(h).matrix, expected)
+
+    @property_settings
+    @given(hypergraphs)
+    def test_meets_and_line_graph_match_pairwise_loops(self, h):
+        masks = vertex_masks(h)
+        m = len(masks)
+        meets = [sum(1 << i for i, other in enumerate(masks) if mask & other) for mask in masks]
+        assert hypergraphs_module._meets(hypergraphs_module._gram(h)) == meets
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if masks[i] & masks[j]]
+        assert line_graph(h) == Graph(m, pairs)
 
     @property_settings
     @given(families)
@@ -406,7 +421,7 @@ class TestColorfulSimplices:
         pc = PartitionedComplex(complement(lg), classes)
         simplex = find_colorful_simplex(pc)
         assert simplex is not None
-        masks = union.edge_masks()
+        masks = vertex_masks(union)
         chosen = [masks[i] for i in simplex]
         assert all(not (chosen[i] & chosen[j]) for i in range(3) for j in range(i + 1, 3))
 
